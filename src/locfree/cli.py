@@ -29,13 +29,16 @@ from .lfcg import (
     stable_class,
     swan_class_group,
 )
-from .numtheory import Place, hilbert_symbol, is_prime, kronecker, legendre
+from .numtheory import Place, fraction_str, hilbert_symbol, is_prime, kronecker, legendre
 from .quadfield import class_group
-from .quatalg import QuaternionAlgebra, b_p_infinity, ramified_places, _q_str
+from .quatalg import QuaternionAlgebra, b_p_infinity, ramified_places
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator")
 
 
 def _emit(ns, lines, payload) -> int:
@@ -85,8 +88,8 @@ def _cmd_hilbert(ns) -> int:
     payload = {
         "command": "symbol",
         "symbol": "hilbert",
-        "a": _q_str(ns.a),
-        "b": _q_str(ns.b),
+        "a": fraction_str(ns.a),
+        "b": fraction_str(ns.b),
         "place": str(place),
         "value": str(v),
     }
@@ -102,8 +105,8 @@ def _cmd_quat_ramified(ns) -> int:
     names = [str(v) for v in places]
     payload = {
         "command": "quat.ramified",
-        "a": _q_str(ns.a),
-        "b": _q_str(ns.b),
+        "a": fraction_str(ns.a),
+        "b": fraction_str(ns.b),
         "ramified": names,
     }
     return _emit(ns, [" ".join(names) if names else "(none)"], payload)
@@ -112,7 +115,7 @@ def _cmd_quat_ramified(ns) -> int:
 def _cmd_quat_bpinf(ns) -> int:
     alg = b_p_infinity(ns.p)
     payload = {"command": "quat.bpinf", "p": str(ns.p), "algebra": alg.to_json()}
-    lines = [f"({_q_str(alg.a)}, {_q_str(alg.b)} | Q)"]
+    lines = [f"({fraction_str(alg.a)}, {fraction_str(alg.b)} | Q)"]
     return _emit(ns, lines, payload)
 
 
@@ -122,12 +125,12 @@ def _cmd_quat_nrd(ns) -> int:
     v = x.nrd()
     payload = {
         "command": "quat.nrd",
-        "a": _q_str(ns.a),
-        "b": _q_str(ns.b),
-        "coords": [_q_str(c) for c in x.coords],
-        "nrd": _q_str(v),
+        "a": fraction_str(ns.a),
+        "b": fraction_str(ns.b),
+        "coords": [fraction_str(c) for c in x.coords],
+        "nrd": fraction_str(v),
     }
-    return _emit(ns, [_q_str(v)], payload)
+    return _emit(ns, [fraction_str(v)], payload)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +152,7 @@ def _cmd_order_classset(ns) -> int:
         "count": str(len(reps)),
         "ideals": [i.to_json() for i in reps],
     }
-    lines = [f"h = {len(reps)}"] + [f"nrd = {_q_str(i.nrd)}" for i in reps]
+    lines = [f"h = {len(reps)}"] + [f"nrd = {fraction_str(i.nrd)}" for i in reps]
     return _emit(ns, lines, payload)
 
 
@@ -280,7 +283,7 @@ def _cmd_lfcg_stable(ns) -> int:
         "ideal": ideal.to_json(),
     }
     lines = [
-        f"nrd = {_q_str(ideal.nrd)}",
+        f"nrd = {fraction_str(ideal.nrd)}",
         f"identity: {'true' if cls.is_identity else 'false'}",
     ]
     return _emit(ns, lines, payload)

@@ -6,22 +6,27 @@ det(trd(e_i e_j)) = +-d^2 on any basis.  Maximal orders of the algebras that
 b_p_infinity returns come from closed-form bases (Pizer, J. Algebra 64, 1980);
 every other algebra gets one by saturating an obvious starting order prime by
 prime: first the radical-idealizer step, then, where that stalls at a split
-prime, an idempotent-splitting step.  Right ideals, their left orders,
-isomorphism testing by short-vector search, and breadth-first enumeration of
-the ideal class set all live here.
+prime, an idempotent-splitting step.  The radical of O/qO is the image of the
+x in O with trd(xO) = 0 and nrd(x) = 0 (mod q), found by linear algebra: the
+first condition is the kernel of the trace form, and on that kernel nrd is
+linear mod q, because the cross term trd(x conj(y)) of nrd(x + y) vanishes
+there and c^2 = c mod 2 (for odd q, trd(x^2) = trd(x)^2 - 2 nrd(x) already
+forces nrd(x) = 0).  Right ideals, their left orders, isomorphism testing by
+short-vector search, and breadth-first enumeration of the ideal class set all
+live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import isqrt, lcm
 
 from .linalg import Lattice, mat_det, mat_inv, mat_mul, solve_mod_lattice
 from .numtheory import (
-    PRIMALITY_BOUND, factor, is_prime, kronecker, primes, sqrt_fraction,
-    squarefree_part, valuation,
+    PRIMALITY_BOUND, factor, fraction_str, is_prime, kronecker, primes,
+    sqrt_fraction, squarefree_part, valuation,
 )
 from .quatalg import Quaternion, QuaternionAlgebra
 
@@ -223,14 +228,10 @@ class QuatOrder:
     def to_json(self) -> dict:
         return {
             "algebra": self.algebra.to_json(),
-            "basis": [[_q_str(x) for x in row] for row in self.lattice.basis()],
+            "basis": [[fraction_str(x) for x in row] for row in self.lattice.basis()],
             "reduced_disc": str(self.reduced_disc),
             "maximal": self.is_maximal,
         }
-
-
-def _q_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 class RightIdeal:
@@ -303,8 +304,8 @@ class RightIdeal:
 
     def to_json(self) -> dict:
         return {
-            "basis": [[_q_str(x) for x in row] for row in self.lattice.basis()],
-            "nrd": _q_str(self.nrd),
+            "basis": [[fraction_str(x) for x in row] for row in self.lattice.basis()],
+            "nrd": fraction_str(self.nrd),
         }
 
 
@@ -339,135 +340,24 @@ def _starting_order(b: QuaternionAlgebra) -> QuatOrder:
     return QuatOrder(b, Lattice(rows))
 
 
-def _structure_table(o: QuatOrder):
-    """Integer coefficients of b_i b_j in the order basis."""
-    binv = mat_inv(o.lattice.basis())
+def _radical(o: QuatOrder, q: int) -> Lattice:
+    """The lattice J with J/qO the radical of O/qO.
+
+    J is the set of x in O with trd(xy) = 0 (mod q) for every y in O and
+    nrd(x) = 0 (mod q).  Both conditions are linear: on the trace kernel the
+    cross term trd(x conj(y)) of nrd(x + y) vanishes mod q, and for odd q
+    trd(x^2) = trd(x)^2 - 2 nrd(x) already forces nrd(x) = 0.  J is a
+    two-sided ideal whose elements square into qO, since
+    x^2 = trd(x) x - nrd(x), and every nilpotent element of O/qO has
+    trd = nrd = 0 for the same reason, so J/qO is exactly the radical.
+    Two congruence solves find it, the same way for every prime q.
+    """
     quats = o.basis_quaternions()
-    table = []
-    for p in quats:
-        row = []
-        for q in quats:
-            coeffs = mat_mul([list((p * q).coords)], binv)[0]
-            assert all(c.denominator == 1 for c in coeffs)
-            row.append([int(c) for c in coeffs])
-        table.append(row)
-    return table
-
-
-def _fq_reduce(vectors, q: int):
-    """Reduced echelon basis of the span of the given vectors over F_q."""
-    basis = []
-    for v in vectors:
-        v = [x % q for x in v]
-        for piv, b in basis:
-            if v[piv]:
-                c = v[piv]
-                v = [(x - c * y) % q for x, y in zip(v, b)]
-        if any(v):
-            piv = next(i for i, x in enumerate(v) if x)
-            inv = pow(v[piv], -1, q)
-            v = [(x * inv) % q for x in v]
-            for k, (p2, b2) in enumerate(basis):
-                if b2[piv]:
-                    c = b2[piv]
-                    basis[k] = (p2, [(x - c * y) % q for x, y in zip(b2, v)])
-            basis.append((piv, v))
-    basis.sort()
-    return basis
-
-
-def _fq_in_span(v, basis, q: int) -> bool:
-    v = [x % q for x in v]
-    for piv, b in basis:
-        if v[piv]:
-            c = v[piv]
-            v = [(x - c * y) % q for x, y in zip(v, b)]
-    return not any(v)
-
-
-def _subspaces(q: int, n: int, r: int):
-    """All r-dimensional subspaces of F_q^n as reduced-echelon row lists."""
-    for pivots in combinations(range(n), r):
-        free = [(i, j) for i in range(r) for j in range(n)
-                if j > pivots[i] and j not in pivots]
-        for vals in product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(r)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free, vals):
-                rows[i][j] = v
-            yield rows
-
-
-def _radical_coords(o: QuatOrder, q: int):
-    """Basis (mod-q coordinate vectors) of the radical of O/qO."""
-    table = _structure_table(o)
-
-    def mult(u, v):
-        w = [0, 0, 0, 0]
-        for i in range(4):
-            if not u[i]:
-                continue
-            for j in range(4):
-                if not v[j]:
-                    continue
-                c = u[i] * v[j]
-                for k in range(4):
-                    w[k] += c * table[i][j][k]
-        return [x % q for x in w]
-
-    if q >= 5:
-        # char > dim: radical = kernel of the regular trace form (Dickson)
-        reg_tr = [sum(table[s][t][t] for t in range(4)) % q for s in range(4)]
-        t_form = [[sum(table[i][j][s] * reg_tr[s] for s in range(4)) % q
-                   for j in range(4)] for i in range(4)]
-        kernel = []
-        for rows in _subspaces(q, 4, 1):
-            v = rows[0]
-            if all(sum(v[i] * t_form[i][j] for i in range(4)) % q == 0
-                   for j in range(4)):
-                kernel.append(v)
-        return [b for _, b in _fq_reduce(kernel, q)]
-
-    # small characteristic: the radical is the largest nilpotent two-sided
-    # ideal; search subspaces by descending dimension (q^4 <= 81 elements)
-    units = [[1 if t == s else 0 for t in range(4)] for s in range(4)]
-    for r in (3, 2, 1):
-        for rows in _subspaces(q, 4, r):
-            span = _fq_reduce(rows, q)
-            ok = True
-            for u in rows:
-                for e in units:
-                    if not (_fq_in_span(mult(u, e), span, q)
-                            and _fq_in_span(mult(e, u), span, q)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            power = rows
-            nilpotent = False
-            for _ in range(5):
-                nxt = [mult(u, v) for u in power for v in rows]
-                reduced = _fq_reduce(nxt, q)
-                if not reduced:
-                    nilpotent = True
-                    break
-                power = [b for _, b in reduced]
-            if nilpotent:
-                return rows
-    return []
-
-
-def _lift_span(o: QuatOrder, coord_vectors, q: int) -> Lattice:
-    """Lattice spanned by q*O and lifts of mod-q coordinate vectors."""
-    base = o.lattice.basis()
-    rows = [[Fraction(q) * x for x in r] for r in base]
-    for v in coord_vectors:
-        rows.append([sum(Fraction(v[s]) * base[s][t] for s in range(4))
-                     for t in range(4)])
-    return Lattice(rows)
+    trace_form = [[int((x * y).trd()) for y in quats] for x in quats]
+    kernel = solve_mod_lattice(trace_form, q)
+    rows = mat_mul(kernel, o.lattice.basis())
+    norms = [[int(_quat(o.algebra, r).nrd())] for r in rows]
+    return Lattice(mat_mul(solve_mod_lattice(norms, q), rows))
 
 
 def _idealizer_orders(o: QuatOrder, ideal: Lattice, q: int):
@@ -484,14 +374,11 @@ def _idealizer_orders(o: QuatOrder, ideal: Lattice, q: int):
 
 def _saturate_step(o: QuatOrder, q: int) -> QuatOrder | None:
     cur = valuation(o.reduced_disc, q)
-    rad = _radical_coords(o, q)
-    if rad:
-        ideal = _lift_span(o, rad, q)
-        for cand in _idealizer_orders(o, ideal, q):
-            # the radical is two-sided, so its idealizers contain O
-            assert cand.lattice.contains_lattice(o.lattice)
-            if valuation(cand.reduced_disc, q) < cur:
-                return cand
+    for cand in _idealizer_orders(o, _radical(o, q), q):
+        # the radical is two-sided, so its idealizers contain O
+        assert cand.lattice.contains_lattice(o.lattice)
+        if valuation(cand.reduced_disc, q) < cur:
+            return cand
     # Radical idealizers stall exactly on hereditary orders.  At a split q
     # the order is then Eichler of level q, and some zero divisor x gives a
     # lattice xO + qO with a strictly larger idealizer.  The lattice only

@@ -22,7 +22,7 @@ from .latorder import (
     short_vectors,
 )
 from .linalg import Lattice
-from .numtheory import factor, is_prime, primes, valuation
+from .numtheory import factor, fraction_str, is_prime, valuation
 from .quadfield import (
     RATIONALS,
     ClassGroup,
@@ -105,13 +105,11 @@ class QuaternionFactor:
         return frozenset({0} if any(v.kind == "real" for v in places) else set())
 
     def to_json(self) -> dict:
-        from .quatalg import _q_str
-
         return {
             "kind": "quaternion",
             "center": _center_json(self.center),
-            "a": _q_str(self.a),
-            "b": _q_str(self.b),
+            "a": fraction_str(self.a),
+            "b": fraction_str(self.b),
         }
 
 
@@ -217,30 +215,56 @@ class SeparableAlgebraSpec:
         return {"factors": [f.to_json() for f in self.factors]}
 
 
+def _as_number(kind, value, key: str):
+    """value read as kind (int or Fraction), or ValueError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"factor field {key!r} is not a number: {value!r}")
+
+
+def _number(entry: dict, key: str, kind, default=None):
+    if key not in entry:
+        if default is None:
+            raise ValueError(f"{entry.get('kind')} factor needs {key!r}")
+        return default
+    return _as_number(kind, entry[key], key)
+
+
+def _numbers(entry: dict, key: str) -> frozenset:
+    values = entry.get(key, [])
+    if not isinstance(values, list):
+        raise ValueError(f"factor field {key!r} must be a list")
+    return frozenset(_as_number(int, v, key) for v in values)
+
+
 def spec_from_json(doc: dict) -> SeparableAlgebraSpec:
-    """Parse a factor-list document as accepted by the command line."""
-    if not isinstance(doc, dict) or "factors" not in doc:
+    """Parse a factor-list document as accepted by the command line.
+
+    A document of the wrong shape raises ValueError, never another error.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
         raise ValueError("algebra document needs a 'factors' list")
     factors = []
     for entry in doc["factors"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"factor {entry!r} is not an object")
         if "center" in entry:
-            disc = int(entry["center"].get("disc", 1))
+            if not isinstance(entry["center"], dict):
+                raise ValueError(f"factor center {entry['center']!r} is not an object")
+            disc = _number(entry["center"], "disc", int, 1)
         else:
-            disc = int(entry.get("center_disc", 1))
+            disc = _number(entry, "center_disc", int, 1)
         center = RATIONALS if disc == 1 else QuadField.from_disc(disc)
         kind = entry.get("kind")
         if kind == "quaternion":
-            factors.append(QuaternionFactor(Fraction(entry["a"]), Fraction(entry["b"]), center))
+            factors.append(QuaternionFactor(
+                _number(entry, "a", Fraction), _number(entry, "b", Fraction), center))
         elif kind == "matrix":
-            factors.append(MatrixFactor(int(entry["degree"]), center))
+            factors.append(MatrixFactor(_number(entry, "degree", int), center))
         elif kind == "ramified-quaternion":
-            factors.append(
-                RamifiedQuaternionFactor(
-                    frozenset(int(p) for p in entry.get("finite", ())),
-                    frozenset(int(e) for e in entry.get("real", ())),
-                    center,
-                )
-            )
+            factors.append(RamifiedQuaternionFactor(
+                _numbers(entry, "finite"), _numbers(entry, "real"), center))
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
     return SeparableAlgebraSpec(tuple(factors))
@@ -525,10 +549,8 @@ class StableClass:
         return self.value == self.group.identity()
 
     def to_json(self) -> dict:
-        from .quatalg import _q_str
-
         return {
-            "nrd": _q_str(self.nrd),
+            "nrd": fraction_str(self.nrd),
             "identity": self.is_identity,
             "group_order": str(self.group.order),
         }
@@ -598,14 +620,8 @@ def cancellation_check(p: int, verify: bool = False) -> CancellationVerdict:
 
 def cancellation_table(lo: int, hi: int, verify: bool = False) -> list[CancellationVerdict]:
     """Cancellation verdicts for every prime in [lo, hi]."""
-    out = []
-    gen = primes()
-    p = next(gen)
-    while p <= hi:
-        if p >= lo:
-            out.append(cancellation_check(p, verify))
-        p = next(gen)
-    return out
+    return [cancellation_check(p, verify)
+            for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +669,11 @@ class GroupLawWitness:
     global_generators: bool
 
     def to_json(self) -> dict:
-        from .quatalg import _q_str
-
         return {
             "product": self.product.to_json(),
-            "nrd_left": _q_str(self.nrd_left),
-            "nrd_right": _q_str(self.nrd_right),
-            "nrd_product": _q_str(self.nrd_product),
+            "nrd_left": fraction_str(self.nrd_left),
+            "nrd_right": fraction_str(self.nrd_right),
+            "nrd_product": fraction_str(self.nrd_product),
             "stable_ok": self.stable_ok,
             "global_generators": self.global_generators,
         }

@@ -11,10 +11,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def mat(rows) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity(n: int) -> tuple:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
@@ -26,13 +22,6 @@ def mat_mul(a, b) -> tuple:
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
     )
-
-
-def vec_mat(v, a) -> tuple:
-    # row vector times matrix
-    n, m = len(a), len(a[0])
-    assert len(v) == n
-    return tuple(sum(v[t] * a[t][j] for t in range(n)) for j in range(m))
 
 
 def transpose(a) -> tuple:
@@ -222,10 +211,6 @@ class Lattice:
     def scale(self, r) -> "Lattice":
         r = Fraction(r)
         return Lattice([[x * r for x in row] for row in self.basis()])
-
-    def transform(self, m) -> "Lattice":
-        """Lattice spanned by basis_row * m for each basis row."""
-        return Lattice([vec_mat(row, m) for row in self.basis()])
 
     def key(self):
         return (self.den, self.rows)

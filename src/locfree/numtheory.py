@@ -47,11 +47,13 @@ def is_prime(n: int) -> bool:
 
 
 def primes():
-    """Ascending primes, by trial division against the primes found so far."""
+    """Ascending primes, by trial division against the primes up to sqrt(n)."""
     found = []
-    n = 2
+    n, k = 2, 0  # found[:k] are the primes p with p * p <= n
     while True:
-        if all(p * p > n or n % p for p in found):
+        while k < len(found) and found[k] * found[k] <= n:
+            k += 1
+        if all(n % p for p in found[:k]):
             found.append(n)
             yield n
         n += 1 if n == 2 else 2
@@ -352,6 +354,11 @@ def sqrt_fraction(x: Fraction) -> Fraction | None:
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def fraction_str(x) -> str:
+    """A rational as "n" or "n/d" in lowest terms, as every output prints it."""
+    return str(Fraction(x))
 
 
 def squarefree_part(n: int) -> tuple[int, int]:

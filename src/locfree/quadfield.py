@@ -16,11 +16,11 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .linalg import Lattice
-from .numtheory import factor, kronecker
+from .numtheory import factor, fraction_str, kronecker
 
 __all__ = [
     "QuadField", "RATIONALS", "QuadElt", "QuadIdeal", "BinaryForm",
-    "ClassGroup", "QuadModule", "class_group", "ideal_class", "ideal_mul",
+    "ClassGroup", "QuadModule", "class_group", "ideal_class",
     "steinitz_class", "modules_isomorphic", "prime_ideals_above",
     "is_fundamental_discriminant",
 ]
@@ -256,18 +256,8 @@ class QuadIdeal:
             "disc": str(self.field.disc),
             "den": str(self.lattice.den),
             "basis": [[str(x) for x in row] for row in self.lattice.rows],
-            "norm": _fraction_str(self.norm()),
+            "norm": fraction_str(self.norm()),
         }
-
-
-def _fraction_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def ideal_mul(i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
-    """Product lattice of two fractional ideals."""
-    return i * j
 
 
 @dataclass(frozen=True, order=True)
@@ -497,6 +487,7 @@ class ClassGroup:
                 self._coset[f] = min(f, twin)
         self.elements = tuple(sorted(set(self._coset.values())))
         self.identity = self._canonical(principal_form(disc))
+        self._divisors = None
 
     @property
     def order(self) -> int:
@@ -553,7 +544,9 @@ class ClassGroup:
 
     def elementary_divisors(self) -> tuple[int, ...]:
         """Invariant factors d1 | d2 | ... with product the group order."""
-        return _abelian_divisors(self.elements, self.mul, self.identity)
+        if self._divisors is None:
+            self._divisors = _abelian_divisors(self.elements, self.mul, self.identity)
+        return self._divisors
 
     def verify_group_axioms(self) -> bool:
         els = self.elements

@@ -12,11 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .numtheory import Place, factor, hilbert_symbol, is_prime, primes, sqrt_fraction
+from .linalg import mat_det
+from .numtheory import (
+    Place, factor, fraction_str, hilbert_symbol, is_prime, primes, sqrt_fraction,
+)
 
 __all__ = [
     "QuaternionAlgebra", "Quaternion", "QuatMatrix",
-    "ramified_places", "b_p_infinity", "nrd", "trd", "matrix_nrd",
+    "ramified_places", "b_p_infinity", "matrix_nrd",
     "embed_phi_r",
 ]
 
@@ -94,15 +97,11 @@ class QuaternionAlgebra:
 
     def to_json(self) -> dict:
         return {
-            "a": _q_str(self.a),
-            "b": _q_str(self.b),
+            "a": fraction_str(self.a),
+            "b": fraction_str(self.b),
             "ramified": [str(v) for v in sorted(self.ramified, key=Place.sort_key)],
             "disc": str(self.reduced_disc),
         }
-
-
-def _q_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)
@@ -176,14 +175,6 @@ class Quaternion:
     def scale(self, r) -> "Quaternion":
         r = Fraction(r)
         return Quaternion(self.algebra, tuple(r * p for p in self.coords))
-
-
-def nrd(x: Quaternion) -> Fraction:
-    return x.nrd()
-
-
-def trd(x: Quaternion) -> Fraction:
-    return x.trd()
 
 
 def b_p_infinity(p: int) -> QuaternionAlgebra:
@@ -318,27 +309,6 @@ def _pair_det(rows, a) -> tuple[Fraction, Fraction]:
     return det
 
 
-def _rational_det(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
 def matrix_nrd(x: QuatMatrix) -> Fraction:
     """Reduced norm of a quaternion matrix: det of its 2n x 2n splitting image.
 
@@ -353,7 +323,7 @@ def matrix_nrd(x: QuatMatrix) -> Fraction:
            for r in range(2 * n)]
     if root is not None:
         rational = [[u + v * root for (u, v) in row] for row in big]
-        return _rational_det(rational)
+        return mat_det(rational)
     u, v = _pair_det(big, a)
     assert v == 0, "reduced norm must land in the base field"
     return u

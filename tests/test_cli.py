@@ -69,8 +69,18 @@ def test_byte_determinism(capsys):
     assert c == d
 
 
-def test_domain_errors_exit_1(capsys):
-    for argv in (
+def test_domain_errors_exit_1(capsys, tmp_path):
+    bad_specs = []
+    for i, doc in enumerate((
+        {"factors": "abc"},
+        {"factors": [1]},                                   # factor not an object
+        {"factors": [{"kind": "matrix"}]},                  # no degree
+        {"factors": [{"kind": "matrix", "degree": 2, "center": 5}]},
+    )):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        bad_specs.append(["lfcg", "swan", "--spec", str(path)])
+    for argv in bad_specs + [
         ["quadclass", "--", "-21"],           # not a fundamental discriminant
         ["symbol", "legendre", "3", "4"],      # modulus is not an odd prime
         ["order", "disc", "10"],               # not prime
@@ -78,10 +88,11 @@ def test_domain_errors_exit_1(capsys):
         ["lfcg", "cancel", "--range", "9..2"],
         ["symbol", "hilbert", "1", "1", "--place", "x"],
         ["lfcg", "swan", "--spec", "/nonexistent/algebra.json"],
-    ):
+    ]:
         code, out, err = invoke(capsys, argv)
         assert code == 1, argv
         assert err.startswith("error: ")
+        assert "Traceback" not in err
         assert out == ""
 
 
@@ -93,9 +104,12 @@ def test_usage_errors_exit_2(capsys):
         ["symbol", "hilbert", "1", "1"],       # missing --place
         ["lfcg", "swan", "--bpinf", "2", "--spec", "f.json"],  # exclusive
         [],
+        ["symbol", "hilbert", "1/0", "1", "--place", "2"],  # zero denominator
+        ["quat", "nrd", "--", "-1", "-1", "1/0", "0", "0", "0"],
     ):
-        code, _, _ = invoke(capsys, argv)
+        code, _, err = invoke(capsys, argv)
         assert code == 2, argv
+        assert "Traceback" not in err
 
 
 def test_no_ansi_escapes(capsys):

@@ -7,9 +7,11 @@ from math import isqrt
 
 import pytest
 
+from locfree import latorder
 from locfree.latorder import (
     GramMatrix,
     _closed_form_generators,
+    _radical,
     _saturated_order,
     QuatOrder,
     RightIdeal,
@@ -235,6 +237,68 @@ def test_saturation_outside_the_closed_forms():
         for q in (2, 3, 5):
             if disc % q == 0:
                 assert not _closed_superlattice_lines(o, q)
+
+
+def _brute_force_radical(o, q):
+    """Coordinates c mod q of the x in O/qO with (yx)^2 = 0 for every y.
+
+    Those x span the largest nil left ideal of O/qO, which is its radical.
+    """
+    a, b = o.algebra.a, o.algebra.b
+    basis = [tuple(Fraction(x) for x in r) for r in o.lattice.basis()]
+    binv = inv_mat(basis)
+    table = [[[int(c) % q for c in vec_times(quat_mul(a, b, u, v), binv)]
+              for v in basis] for u in basis]
+
+    def mul(c, d):
+        return tuple(sum(c[i] * d[j] * table[i][j][k]
+                         for i in range(4) for j in range(4)) % q
+                     for k in range(4))
+
+    zero = (0, 0, 0, 0)
+    vectors = list(itertools.product(range(q), repeat=4))
+    return {c for c in vectors
+            if all(mul(yx, yx) == zero for yx in (mul(y, c) for y in vectors))}
+
+
+def _radical_coords(o, q):
+    """Coordinates c mod q with sum c_i b_i in _radical(o, q)."""
+    rad = _radical(o, q)
+    basis = o.lattice.basis()
+    assert rad.contains_lattice(o.lattice.scale(q))
+    assert o.lattice.contains_lattice(rad)
+    return {c for c in itertools.product(range(q), repeat=4)
+            if rad.contains(vec_times(c, basis))}
+
+
+def test_radical_matches_brute_force_at_2_and_3(monkeypatch):
+    visited = []
+    step = latorder._saturate_step
+
+    def recording_step(o, q):
+        visited.append(o)
+        return step(o, q)
+
+    monkeypatch.setattr(latorder, "_saturate_step", recording_step)
+    for a, b in ((-1, -6), (-3, -5), (-2, -20), (-1, 3), (Fraction(-1, 2), -3)):
+        visited.append(_saturated_order(QuaternionAlgebra(Fraction(a), Fraction(b))))
+    assert len(visited) > 5
+    for o in visited:
+        for q in (2, 3):
+            assert _radical_coords(o, q) == _brute_force_radical(o, q)
+
+
+def test_radical_needs_the_norm_condition():
+    # Z<1, i, j, k> in (-1, -1): the trace form vanishes mod 2, so only
+    # nrd = 0 (mod 2) cuts the radical down to dimension 3
+    alg = QuaternionAlgebra(Fraction(-1), Fraction(-1))
+    o = QuatOrder(alg, Lattice([(1, 0, 0, 0), (0, 1, 0, 0),
+                                (0, 0, 1, 0), (0, 0, 0, 1)]))
+    assert all((p * q).trd() % 2 == 0
+               for p in o.basis_quaternions() for q in o.basis_quaternions())
+    coords = _radical_coords(o, 2)
+    assert coords == _brute_force_radical(o, 2)
+    assert len(coords) == 2 ** 3
 
 
 def test_non_maximal_order_has_closed_superlattice():

@@ -16,7 +16,6 @@ from locfree.linalg import (
     mat_mul,
     solve_mod_lattice,
     transpose,
-    vec_mat,
 )
 
 
@@ -68,12 +67,6 @@ def test_mat_inv_and_transpose():
             assert transpose(transpose(a)) == tuple(tuple(r) for r in a)
     with pytest.raises(ZeroDivisionError):
         mat_inv([[1, 2], [2, 4]])
-
-
-def test_vec_mat_is_row_action():
-    a = [[1, 2], [3, 4]]
-    assert vec_mat([1, 0], a) == (1, 2)
-    assert vec_mat([2, -1], a) == (-1, 0)
 
 
 def test_hnf_is_canonical_under_row_operations():
@@ -151,10 +144,8 @@ def test_lattice_sum_intersection_duality():
         assert a.scale(Fraction(1, 3)).scale(3) == a
 
 
-def test_lattice_index_and_transform():
+def test_lattice_index_in():
     a = Lattice([[1, 0], [0, 1]])
     b = Lattice([[2, 0], [0, 3]])
     assert b.index_in(a) == 6
     assert a.index_in(b) == Fraction(1, 6)
-    m = [[0, 1], [1, 0]]
-    assert b.transform(m) == Lattice([[3, 0], [0, 2]])
