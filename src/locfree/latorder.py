@@ -14,6 +14,16 @@ there and c^2 = c mod 2 (for odd q, trd(x^2) = trd(x)^2 - 2 nrd(x) already
 forces nrd(x) = 0).  Right ideals, their left orders, isomorphism testing by
 short-vector search, and breadth-first enumeration of the ideal class set all
 live here.
+
+Short vectors come from a Fincke-Pohst search run on integers: the LDL data
+is scaled to common denominators once.  The class set search keys every
+ideal I by the first THETA_TERMS theta coefficients of nrd(x)/nrd(I) on I.
+That key is a class invariant, because left multiplication by y maps I onto
+yI and scales nrd(x) and nrd(I) alike by nrd(y), so isomorphism is only
+tested between ideals with equal keys.  The search stops when the classes
+found reach Eichler's mass, sum of 1/|O_L(I)^x| = prod_{p | disc} (p - 1)
+/ 24: the classes found are pairwise non-isomorphic and each missing class
+would add a positive term, so the set is then complete.
 """
 
 from __future__ import annotations
@@ -88,28 +98,31 @@ class GramMatrix:
         assert all(len(r) == n for r in self.entries)
         assert all(self.entries[i][j] == self.entries[j][i]
                    for i in range(n) for j in range(n))
+        # G = ints / den, so that value() sums integers
+        den = lcm(*(x.denominator for r in self.entries for x in r))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", tuple(
+            tuple(int(x * den) for x in r) for r in self.entries))
 
     @classmethod
     def from_nrd(cls, alg: QuaternionAlgebra, basis_rows) -> "GramMatrix":
-        """Gram of the reduced norm form: v G v^T = nrd(sum v_i b_i)."""
-        quats = [_quat(alg, r) for r in basis_rows]
-        return cls(tuple(
-            tuple((p * q.conj()).trd() / 2 for q in quats) for p in quats))
+        """Gram of the reduced norm form: v G v^T = nrd(sum v_i b_i).
+
+        nrd(t + xi + yj + zk) = t^2 - a x^2 - b y^2 + ab z^2, so the Gram
+        matrix is B diag(1, -a, -b, ab) B^T for the basis rows B.
+        """
+        w = (Fraction(1), -alg.a, -alg.b, alg.a * alg.b)
+        rows = [[wk * x for wk, x in zip(w, r)] for r in basis_rows]
+        return cls(tuple(tuple(sum(x * y for x, y in zip(p, q))
+                               for q in basis_rows) for p in rows))
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
     def value(self, v) -> Fraction:
-        return sum(self.entries[i][j] * v[i] * v[j]
-                   for i in range(self.n) for j in range(self.n))
-
-    def is_positive_definite(self) -> bool:
-        try:
-            _ldl(self.entries)
-        except ValueError:
-            return False
-        return True
+        return Fraction(sum(x * sum(a * y for a, y in zip(row, v))
+                            for x, row in zip(v, self._ints)), self._den)
 
 
 def _ldl(g):
@@ -129,45 +142,44 @@ def _ldl(g):
     return d, u
 
 
-def _floor_shifted_sqrt(f: Fraction, r: Fraction) -> int:
-    """floor(f + sqrt(r)) for rational f and rational r >= 0, exactly."""
-    s = isqrt(r.numerator * r.denominator) // r.denominator
-    n = f.numerator // f.denominator + s + 1
-    while True:
-        diff = n - f
-        if diff <= 0 or diff * diff <= r:
-            return n
-        n -= 1
-
-
 def short_vectors(g: GramMatrix, bound) -> list[tuple[int, ...]]:
     """All nonzero integer v with v G v^T <= bound, in a fixed deterministic order.
 
-    Exact Fincke-Pohst enumeration on the LDL decomposition; rejects
-    indefinite (or semidefinite) input.
+    Exact Fincke-Pohst enumeration on the LDL decomposition
+    G = U^T diag(d) U, run on integers.  Over common denominators
+    d_l = e_l / L and U_lj = N_lj / M, so v G v^T = sum_l e_l (M v_l + C_l)^2
+    / (L M^2) with C_l = sum_{j>l} N_lj v_j.  Level l takes every v_l with
+    |M v_l + C_l| <= isqrt(R // e_l), where R starts at floor(bound L M^2) and
+    drops by e_l (M v_l + C_l)^2 per level.  Rejects indefinite (or
+    semidefinite) input.
     """
-    bound = Fraction(bound)
     d, u = _ldl(g.entries)
     n = g.n
+    den_d = lcm(*(x.denominator for x in d))
+    den_u = lcm(*(u[i][j].denominator for i in range(n) for j in range(i + 1, n)))
+    e = [int(x * den_d) for x in d]
+    tails = [[int(u[i][j] * den_u) for j in range(i + 1, n)] for i in range(n)]
+    start = Fraction(bound) * den_d * den_u * den_u
     out = []
     coords = [0] * n
 
-    def descend(level: int, remaining: Fraction):
-        if level < 0:
-            if any(coords):
-                out.append(tuple(coords))
-            return
-        center = sum(u[level][j] * coords[j] for j in range(level + 1, n))
-        radius2 = remaining / d[level]
-        lo = -_floor_shifted_sqrt(center, radius2)
-        hi = _floor_shifted_sqrt(-center, radius2)
-        for x in range(lo, hi + 1):
-            coords[level] = x
-            t = x + center
-            descend(level - 1, remaining - d[level] * t * t)
+    def descend(level: int, remaining: int):
+        c = sum(t * x for t, x in zip(tails[level], coords[level + 1:]))
+        s = isqrt(remaining // e[level])
+        xs = range(-((s + c) // den_u), (s - c) // den_u + 1)
+        if level == 0:
+            for x in xs:
+                coords[0] = x
+                if any(coords):
+                    out.append(tuple(coords))
+        else:
+            for x in xs:
+                coords[level] = x
+                t = den_u * x + c
+                descend(level - 1, remaining - e[level] * t * t)
         coords[level] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, start.numerator // start.denominator)
     return out
 
 
@@ -560,11 +572,41 @@ def reduce_ideal(i: RightIdeal) -> RightIdeal:
     return RightIdeal(i.order, Lattice([(x * b).coords for b in basis]))
 
 
+THETA_TERMS = 16
+
+
+def _theta_key(i: RightIdeal) -> tuple[int, ...]:
+    """Counts of x in I with nrd(x)/nrd(I) = n, for n = 1..THETA_TERMS.
+
+    These are the first theta coefficients of the normalized norm form of I.
+    They are a class invariant: x -> yx maps I onto yI and multiplies both
+    nrd(x) and nrd(I) by nrd(y).
+    """
+    gram = i.nrd_gram()
+    counts = [0] * THETA_TERMS
+    for v in short_vectors(gram, THETA_TERMS * i.nrd):
+        counts[int(gram.value(v) / i.nrd) - 1] += 1
+    return tuple(counts)
+
+
+def _eichler_mass(o: QuatOrder) -> Fraction:
+    """Eichler's mass: prod over p | disc of (p - 1), divided by 24."""
+    mass = Fraction(1, 24)
+    for p, _ in factor(o.reduced_disc).factors:
+        mass *= p - 1
+    return mass
+
+
 def class_set(o: QuatOrder, neighbor_primes=None) -> list[RightIdeal]:
     """Right ideal classes of a definite maximal order, one reduced ideal each.
 
     Breadth-first closure under norm-q neighbors (q prime to the
-    discriminant), stopping when a full layer brings nothing new.
+    discriminant).  A candidate is compared by isomorphic_ideals only with
+    the classes that share its theta key, which isomorphic ideals always do.
+    The search stops once the classes found carry the whole mass: the sum
+    of 1/|O_L(I)^x| over all classes is Eichler's mass, every class adds a
+    positive term, and the classes found are pairwise non-isomorphic, so
+    reaching the mass proves that no class is missing.
     """
     if not o.algebra.is_definite:
         raise ValueError("class set enumeration requires a definite algebra")
@@ -575,7 +617,13 @@ def class_set(o: QuatOrder, neighbor_primes=None) -> list[RightIdeal]:
     for q in neighbor_primes:
         if o.reduced_disc % q == 0:
             raise ValueError("neighbor primes must not divide the discriminant")
-    reps = [RightIdeal.unit_ideal(o)]
+    mass = _eichler_mass(o)
+    unit = RightIdeal.unit_ideal(o)
+    reps = [unit]
+    found = Fraction(1, o.unit_group_order())
+    if found == mass:
+        return reps
+    buckets = {_theta_key(unit): [unit]}
     frontier = list(reps)
     while frontier:
         new = []
@@ -584,11 +632,20 @@ def class_set(o: QuatOrder, neighbor_primes=None) -> list[RightIdeal]:
             for q in neighbor_primes:
                 for k in right_ideals_of_norm(left, q):
                     cand = reduce_ideal(ideal_mul(k, i))
-                    if not any(isomorphic_ideals(cand, r) for r in reps):
-                        reps.append(cand)
-                        new.append(cand)
+                    bucket = buckets.setdefault(_theta_key(cand), [])
+                    if any(isomorphic_ideals(cand, r) for r in bucket):
+                        continue
+                    bucket.append(cand)
+                    reps.append(cand)
+                    new.append(cand)
+                    found += Fraction(1, cand.left_order().unit_group_order())
+                    if found >= mass:
+                        if found > mass:
+                            raise RuntimeError(
+                                f"classes found exceed the mass {mass}")
+                        return reps
         frontier = new
-    return reps
+    raise RuntimeError(f"neighbor search ended at mass {found} of {mass}")
 
 
 def eichler_class_number(p: int) -> int:

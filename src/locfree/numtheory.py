@@ -241,10 +241,6 @@ class Place:
     def real(cls, index: int = 0) -> "Place":
         return cls("real", None, index)
 
-    @classmethod
-    def complex_place(cls) -> "Place":
-        return cls("complex")
-
     def __str__(self):
         if self.kind == "finite":
             return str(self.prime)

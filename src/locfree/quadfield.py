@@ -534,14 +534,6 @@ class ClassGroup:
             n += 1
         return n
 
-    def power(self, f: BinaryForm, k: int) -> BinaryForm:
-        if k < 0:
-            return self.power(self.inverse(f), -k)
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, f)
-        return out
-
     def elementary_divisors(self) -> tuple[int, ...]:
         """Invariant factors d1 | d2 | ... with product the group order."""
         if self._divisors is None:

@@ -141,9 +141,6 @@ class Quaternion:
 
     __radd__ = __add__
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def _coerce(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
             assert other.algebra == self.algebra

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -13,6 +13,7 @@ from locfree.latorder import (
     _closed_form_generators,
     _radical,
     _saturated_order,
+    _theta_key,
     QuatOrder,
     RightIdeal,
     class_set,
@@ -120,6 +121,74 @@ def test_short_vectors_against_box_enumeration():
             if any(v) and sum(g[i][j] * v[i] * v[j]
                               for i in range(n) for j in range(n)) <= bound)
         assert got == expected
+
+
+def _fraction_short_vectors(g, bound):
+    """The Fincke-Pohst descent on Fractions that short_vectors replaced.
+
+    G = U^T diag(d) U by its own LDL; at each level x runs over the integers
+    with d (x + center)^2 <= remaining, found by exact floor(f + sqrt(r)).
+    """
+    n = len(g)
+    d = [Fraction(0)] * n
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        d[i] = g[i][i] - sum(d[k] * u[k][i] ** 2 for k in range(i))
+        for j in range(i + 1, n):
+            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j]
+                                     for k in range(i))) / d[i]
+
+    def floor_shifted_sqrt(f, r):
+        m = f.numerator // f.denominator + isqrt(r.numerator // r.denominator) + 1
+        while m - f > 0 and (m - f) ** 2 > r:
+            m -= 1
+        return m
+
+    out, coords = [], [0] * n
+
+    def descend(level, remaining):
+        if level < 0:
+            if any(coords):
+                out.append(tuple(coords))
+            return
+        center = sum(u[level][j] * coords[j] for j in range(level + 1, n))
+        r2 = remaining / d[level]
+        for x in range(-floor_shifted_sqrt(center, r2),
+                       floor_shifted_sqrt(-center, r2) + 1):
+            coords[level] = x
+            descend(level - 1, remaining - d[level] * (x + center) ** 2)
+        coords[level] = 0
+
+    descend(n - 1, Fraction(bound))
+    return out
+
+
+def test_short_vectors_rational_grams_against_box_and_fraction_descent():
+    rng = random.Random(53)
+    for trial in range(60):
+        n = 1 + trial % 4
+        den = rng.randrange(2, 7)
+        m = rng.randrange(1, 4)
+        a = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        w = [Fraction(rng.randrange(1, 5), rng.randrange(2, 7)) for _ in range(n)]
+        # A^T diag(w) A + (m/den) I: rational, with v G v^T >= (m/den) |v|^2
+        g = [[sum(w[k] * a[k][i] * a[k][j] for k in range(n))
+              + Fraction(m if i == j else 0, den) for j in range(n)]
+             for i in range(n)]
+        gram = GramMatrix(tuple(tuple(r) for r in g))
+        bound = (Fraction(0) if trial % 10 == 0
+                 else Fraction(rng.randrange(1, 25), rng.randrange(1, 7)))
+        got = short_vectors(gram, bound)
+        assert got == _fraction_short_vectors(g, bound)
+        scale = lcm(*(x.denominator for row in g for x in row))
+        gi = [[int(x * scale) for x in row] for row in g]
+        r = isqrt(int(bound * den / m))
+        expected = sorted(
+            v for v in itertools.product(range(-r, r + 1), repeat=n)
+            if any(v) and sum(gi[i][j] * v[i] * v[j] for i in range(n)
+                              for j in range(n)) <= bound * scale)
+        assert sorted(got) == expected
+        assert all(gram.value(v) <= bound for v in got)
 
 
 def test_short_vectors_rejects_indefinite():
@@ -386,6 +455,52 @@ def test_classes_pairwise_non_isomorphic(class_sets_under_100):
         for s, i in enumerate(reps):
             for t, j in enumerate(reps):
                 assert bool(isomorphic_ideals(i, j)) == (s == t)
+
+
+def test_theta_key_is_a_class_invariant(class_sets_under_100):
+    # x ranges over small elements of O, times 1, 1/2 or 1/3: the short-vector
+    # search on the HNF basis of xI slows down quickly as nrd(x) grows.
+    rng = random.Random(54)
+    for p in (11, 37, 101):
+        o = maximal_order(b_p_infinity(p))
+        reps = (class_sets_under_100[p] if p in class_sets_under_100
+                else class_set(o))
+        for i in reps[:4] + right_ideals_of_norm(o, 3)[:1]:
+            key = _theta_key(i)
+            assert sum(key) > 0
+            for _ in range(2):
+                c = [rng.randrange(-1, 2) for _ in range(4)]
+                x = sum((b.scale(ci) for ci, b in zip(c, o.basis_quaternions())),
+                        o.algebra.zero()).scale(Fraction(1, rng.randrange(1, 4)))
+                if x.is_zero():
+                    continue
+                moved = RightIdeal(o, Lattice([(x * b).coords
+                                               for b in i.basis_quaternions()]))
+                assert moved.nrd == i.nrd * x.nrd()
+                assert _theta_key(moved) == key
+
+
+def _assert_closed_under_neighbors(o, reps):
+    q = next(q for q in (2, 3, 5, 7) if o.reduced_disc % q)
+    for i in reps:
+        for k in right_ideals_of_norm(i.left_order(), q):
+            cand = reduce_ideal(ideal_mul(k, i))
+            assert cand.order == o
+            assert sum(1 for r in reps if isomorphic_ideals(cand, r)) == 1
+
+
+def test_class_sets_closed_under_neighbors(class_sets_under_100):
+    # The exhaustive search's own stopping rule, without the mass formula or
+    # theta keys: every norm-q neighbor of every class reduces to an ideal
+    # isomorphic to exactly one representative.
+    for p, reps in class_sets_under_100.items():
+        _assert_closed_under_neighbors(maximal_order(b_p_infinity(p)), reps)
+    # discriminants 30 and 42: the mass stop multiplies (p - 1) over p | disc
+    for a, b, h in ((-3, -10, 2), (-1, -21, 2)):
+        o = maximal_order(QuaternionAlgebra(Fraction(a), Fraction(b)))
+        reps = class_set(o)
+        assert len(reps) == h
+        _assert_closed_under_neighbors(o, reps)
 
 
 def test_isomorphism_witness_and_reduce():
