@@ -1,11 +1,16 @@
 """Tests for the command line front end: exit codes, formats, schema."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -110,6 +115,43 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = invoke(capsys, argv)
         assert code == 2, argv
         assert "Traceback" not in err
+
+
+def count_reduced_definite_forms(D):
+    """h(D) for D < 0: primitive (a, b, c) with |b| <= a <= c, b >= 0 if |b| = a or a = c."""
+    count = 0
+    a = 1
+    while 3 * a * a <= -D:
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or (a == c and b < 0) or gcd(gcd(a, b), c) != 1:
+                continue
+            count += 1
+        a += 1
+    return count
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(D=st.integers(-20000, 20000), narrow=st.booleans())
+def test_quadclass_json_property(D, narrow):
+    argv = ["quadclass", "--json"] + (["--narrow"] if narrow else []) + ["--", str(D)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code:
+        return
+    group = json.loads(out.getvalue())["group"]
+    order = int(group["order"])
+    product = 1
+    for d in group["elementary_divisors"]:
+        product *= int(d)
+    assert product == order
+    if D < 0:
+        assert order == count_reduced_definite_forms(D)
 
 
 def test_no_ansi_escapes(capsys):

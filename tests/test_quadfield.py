@@ -12,6 +12,9 @@ from locfree.quadfield import (
     QuadField,
     QuadIdeal,
     QuadModule,
+    _compose_forms,
+    _form_to_ideal,
+    _ideal_to_form,
     class_group,
     ideal_class,
     is_fundamental_discriminant,
@@ -173,9 +176,93 @@ def test_class_group_known_structures():
         class_group(-21, False)
 
 
+def group_axioms_hold(group):
+    """Identity, inverses, closure, commutativity and associativity of group.mul,
+    checked over all pairs and triples (O(h^3))."""
+    els, mul, one = group.elements, group.mul, group.identity
+    for f in els:
+        if mul(one, f) != f:
+            return False
+        if mul(f, group.inverse(f)) != one:
+            return False
+        for g in els:
+            fg = mul(f, g)
+            if fg not in els or fg != mul(g, f):
+                return False
+    for f in els:
+        for g in els:
+            for h in els:
+                if mul(mul(f, g), h) != mul(f, mul(g, h)):
+                    return False
+    return True
+
+
 def test_class_group_axioms():
     for D, narrow in [(-20, False), (-23, False), (-84, False), (12, True), (40, False), (40, True)]:
-        assert class_group(D, narrow).verify_group_axioms()
+        assert group_axioms_hold(class_group(D, narrow))
+
+
+def lattice_compose(group, f, g):
+    """The product class through ideals: multiply the two Fraction lattices of the
+    form/ideal dictionary, read the form back off the product and reduce it."""
+    if group.disc > 0:
+        f, g = group._positive_in_cycle(f), group._positive_in_cycle(g)
+    i = _form_to_ideal(group.field, f) * _form_to_ideal(group.field, g)
+    return group._proper_class(_ideal_to_form(i))
+
+
+def assert_composition_matches_lattices(group, pairs):
+    """Check _proper_compose against lattice_compose on pairs; return the products."""
+    D = group.disc
+    products = {}
+    for f, g in pairs:
+        pf, pg = (group._positive_in_cycle(f), group._positive_in_cycle(g)) if D > 0 else (f, g)
+        h = _compose_forms(pf, pg)
+        assert h.disc == D and h.is_primitive(), (D, f, g, h)
+        got = group._proper_compose(f, g)
+        assert got == lattice_compose(group, f, g), (D, f, g)
+        assert got.disc == D and got.is_primitive()
+        products[f, g] = got
+    return products
+
+
+def test_integer_composition_matches_ideal_multiplication_on_all_pairs():
+    for D in (-3, -4, -20, -23, -47, -56, -84, -4004, 5, 12, 40, 136):
+        for narrow in (False, True) if D > 0 else (False,):
+            group = class_group(D, narrow)
+            proper = group._proper_elements
+            products = assert_composition_matches_lattices(
+                group, [(f, g) for f in proper for g in proper])
+            # group.mul goes through the kappa-twin cosets of the wide group (D = 12, 136)
+            for f in group.elements:
+                for g in group.elements:
+                    assert group.mul(f, g) == group._coset[products[f, g]]
+
+
+def test_integer_composition_matches_ideal_multiplication_at_large_discriminants():
+    for D, narrow in ((-1000003, False), (40001, True)):
+        group = class_group(D, narrow)
+        rng = random.Random(D)
+        proper = group._proper_elements
+        pairs = [(rng.choice(proper), rng.choice(proper)) for _ in range(300)]
+        assert_composition_matches_lattices(group, pairs)
+
+
+def test_class_groups_build_no_ideal_lattices(monkeypatch):
+    """Composition runs on integer forms: no QuadIdeal is built for the group law;
+    a real quadratic field builds at most the one ideal (sqrt(d)) for kappa."""
+    built = []
+    original = QuadIdeal.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(QuadIdeal, "__post_init__", counting)
+    assert class_group.__wrapped__(-4004).elementary_divisors() == (2, 2, 10)
+    assert built == []
+    assert class_group.__wrapped__(12, True).elementary_divisors() == (2,)
+    assert len(built) <= 1
 
 
 def test_narrow_vs_wide_matches_pell_parity():
