@@ -24,6 +24,12 @@ tested between ideals with equal keys.  The search stops when the classes
 found reach Eichler's mass, sum of 1/|O_L(I)^x| = prod_{p | disc} (p - 1)
 / 24: the classes found are pairwise non-isomorphic and each missing class
 would add a positive term, so the set is then complete.
+
+Lattice products run on the integer rows of Lattice (den, rows).  With
+a = an/ad and b = bn/bd, ad bd times the product of two integer quaternions
+is integral, with structure constants ad bd, an bd, bn ad and an bn, so the
+order checks, ideal products, isomorphism witnesses and the reduced norm
+Gram matrices need no Fraction quaternion.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 
-from .linalg import Lattice, mat_det, mat_inv, mat_mul, solve_mod_lattice
+from .linalg import Lattice, int_rows, mat_det, mat_inv, mat_mul, solve_mod_lattice
 from .numtheory import (
     PRIMALITY_BOUND, factor, fraction_str, is_prime, kronecker, primes,
     sqrt_fraction, squarefree_part, valuation,
@@ -48,10 +54,6 @@ __all__ = [
 ]
 
 
-def _quat(alg: QuaternionAlgebra, v) -> Quaternion:
-    return alg.quaternion(*v)
-
-
 def _rmul_matrix(alg: QuaternionAlgebra, q: Quaternion):
     """Matrix M with vec(x*q) = vec(x) M for row vectors x."""
     return [list((e * q).coords) for e in alg.basis()]
@@ -62,17 +64,48 @@ def _lmul_matrix(alg: QuaternionAlgebra, q: Quaternion):
     return [list((q * e).coords) for e in alg.basis()]
 
 
+def _structure_constants(alg: QuaternionAlgebra) -> tuple[int, int, int, int]:
+    """(ad bd, an bd, bn ad, an bn) for a = an/ad and b = bn/bd.
+
+    ad bd times a product of integer quaternions has integer coordinates,
+    with these four numbers as its coefficients.
+    """
+    a, b = alg.a, alg.b
+    return (a.denominator * b.denominator, a.numerator * b.denominator,
+            b.numerator * a.denominator, a.numerator * b.numerator)
+
+
+def _mul_rows(alg: QuaternionAlgebra, du: int, us, dv: int, vs):
+    """All products (u/du)(v/dv), u-major, as integer rows over du dv ad bd.
+
+    us and vs are integer rows (t, x, y, z); the coefficients are the
+    structure constants c = ad bd, ca = an bd, cb = bn ad and cab = an bn.
+    """
+    c, ca, cb, cab = _structure_constants(alg)
+    out = []
+    for t1, x1, y1, z1 in us:
+        for t2, x2, y2, z2 in vs:
+            out.append((
+                c * t1 * t2 + ca * x1 * x2 + cb * y1 * y2 - cab * z1 * z2,
+                c * (t1 * x2 + x1 * t2) - cb * (y1 * z2 - y2 * z1),
+                c * (t1 * y2 + y1 * t2) + ca * (x1 * z2 - x2 * z1),
+                c * (t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2),
+            ))
+    return du * dv * c, out
+
+
 def _lattice_product(alg: QuaternionAlgebra, a: Lattice, b: Lattice) -> Lattice:
-    rows = []
-    for u in a.basis():
-        qu = _quat(alg, u)
-        for v in b.basis():
-            rows.append((qu * _quat(alg, v)).coords)
-    return Lattice(rows)
+    return Lattice.from_ints(*_mul_rows(alg, a.den, a.rows, b.den, b.rows))
 
 
-def _conj_lattice(alg: QuaternionAlgebra, a: Lattice) -> Lattice:
-    return Lattice([_quat(alg, u).conj().coords for u in a.basis()])
+def _conj_rows(rows):
+    """Integer rows of the conjugates: the i, j and k columns negated."""
+    return [(t, -x, -y, -z) for t, x, y, z in rows]
+
+
+def _combine(v, rows) -> list[int]:
+    """The integer row sum_s v_s rows_s."""
+    return [sum(c * r[t] for c, r in zip(v, rows)) for t in range(len(rows[0]))]
 
 
 def _constrained_lattice(bound: Lattice, conditions) -> Lattice:
@@ -105,16 +138,19 @@ class GramMatrix:
             tuple(int(x * den) for x in r) for r in self.entries))
 
     @classmethod
-    def from_nrd(cls, alg: QuaternionAlgebra, basis_rows) -> "GramMatrix":
-        """Gram of the reduced norm form: v G v^T = nrd(sum v_i b_i).
+    def from_nrd(cls, alg: QuaternionAlgebra, rows, den: int = 1) -> "GramMatrix":
+        """Gram of the reduced norm form: v G v^T = nrd(sum v_i rows_i / den).
 
-        nrd(t + xi + yj + zk) = t^2 - a x^2 - b y^2 + ab z^2, so the Gram
-        matrix is B diag(1, -a, -b, ab) B^T for the basis rows B.
+        ad bd nrd(t + xi + yj + zk) = ad bd t^2 - an bd x^2 - bn ad y^2
+        + an bn z^2, so the Gram matrix is B diag(ad bd, -an bd, -bn ad,
+        an bn) B^T / (den^2 ad bd) for the integer rows B.
         """
-        w = (Fraction(1), -alg.a, -alg.b, alg.a * alg.b)
-        rows = [[wk * x for wk, x in zip(w, r)] for r in basis_rows]
-        return cls(tuple(tuple(sum(x * y for x, y in zip(p, q))
-                               for q in basis_rows) for p in rows))
+        c, ca, cb, cab = _structure_constants(alg)
+        w = (c, -ca, -cb, cab)
+        scaled = [[wk * x for wk, x in zip(w, r)] for r in rows]
+        d = den * den * c
+        return cls(tuple(tuple(Fraction(sum(x * y for x, y in zip(p, q)), d)
+                               for q in rows) for p in scaled))
 
     @property
     def n(self) -> int:
@@ -192,15 +228,18 @@ class QuatOrder:
         self.lattice = lattice
         if not lattice.contains((1, 0, 0, 0)):
             raise ValueError("an order must contain 1")
-        quats = [_quat(algebra, r) for r in lattice.basis()]
-        for p in quats:
-            for q in quats:
-                if not lattice.contains((p * q).coords):
-                    raise ValueError("lattice is not closed under multiplication")
-        self._basis_quats = quats
-        gram = [[(p * q).trd() for q in quats] for p in quats]
-        det = mat_det(gram)
-        assert det != 0 and det.denominator == 1
+        den, prods = _mul_rows(algebra, lattice.den, lattice.rows,
+                               lattice.den, lattice.rows)
+        if not all(lattice.contains(r, den) for r in prods):
+            raise ValueError("lattice is not closed under multiplication")
+        # trd(b_s b_t) is twice the first coordinate, an integer on an order;
+        # the saturation step reads this trace form mod q
+        twice = [2 * r[0] for r in prods]
+        assert all(x % den == 0 for x in twice)
+        self.trace_form = tuple(tuple(x // den for x in twice[4 * s:4 * s + 4])
+                                for s in range(4))
+        det = mat_det(self.trace_form)
+        assert det != 0
         self.disc_sign = 1 if det > 0 else -1
         root = sqrt_fraction(abs(det))
         assert root is not None and root.denominator == 1, \
@@ -208,7 +247,7 @@ class QuatOrder:
         self.reduced_disc = int(root)
 
     def basis_quaternions(self) -> list[Quaternion]:
-        return self._basis_quats
+        return [self.algebra.quaternion(*r) for r in self.lattice.basis()]
 
     @property
     def is_maximal(self) -> bool:
@@ -218,7 +257,7 @@ class QuatOrder:
         return self.lattice.contains(q.coords)
 
     def nrd_gram(self) -> GramMatrix:
-        return GramMatrix.from_nrd(self.algebra, self.lattice.basis())
+        return GramMatrix.from_nrd(self.algebra, self.lattice.rows, self.lattice.den)
 
     def unit_group_order(self) -> int:
         """Number of units; finite (hence meaningful) only for definite algebras."""
@@ -253,13 +292,12 @@ class RightIdeal:
         assert lattice.n == 4
         self.order = order
         self.lattice = lattice
-        alg = order.algebra
-        basis = [_quat(alg, r) for r in lattice.basis()]
-        for v in basis:
-            for e in order.basis_quaternions():
-                if not lattice.contains((v * e).coords):
-                    raise ValueError("lattice is not a right module over the order")
-        ratio = lattice.covolume() / order.lattice.covolume()
+        o = order.lattice
+        den, prods = _mul_rows(order.algebra, lattice.den, lattice.rows,
+                               o.den, o.rows)
+        if not all(lattice.contains(r, den) for r in prods):
+            raise ValueError("lattice is not a right module over the order")
+        ratio = lattice.covolume() / o.covolume()
         root = sqrt_fraction(ratio)
         assert root is not None, "lattice index must be a perfect square"
         self.nrd = root
@@ -271,11 +309,10 @@ class RightIdeal:
 
     @classmethod
     def from_generators(cls, order: QuatOrder, gens) -> "RightIdeal":
-        rows = []
-        for g in gens:
-            for e in order.basis_quaternions():
-                rows.append((g * e).coords)
-        return cls(order, Lattice(rows))
+        dg, rows = int_rows([g.coords for g in gens])
+        o = order.lattice
+        return cls(order, Lattice.from_ints(
+            *_mul_rows(order.algebra, dg, rows, o.den, o.rows)))
 
     @classmethod
     def principal(cls, order: QuatOrder, x: Quaternion) -> "RightIdeal":
@@ -284,21 +321,25 @@ class RightIdeal:
         return cls.from_generators(order, [x])
 
     def basis_quaternions(self) -> list[Quaternion]:
-        return [_quat(self.order.algebra, r) for r in self.lattice.basis()]
+        return [self.order.algebra.quaternion(*r) for r in self.lattice.basis()]
 
     def left_order(self) -> QuatOrder:
         """O_L(I) = (1/nrd I) I conj(I); valid since the right order is maximal."""
         if self._left_order is None:
             assert self.order.is_maximal
             alg = self.order.algebra
-            prod = _lattice_product(alg, self.lattice,
-                                    _conj_lattice(alg, self.lattice))
-            self._left_order = QuatOrder(alg, prod.scale(1 / self.nrd))
+            lat = self.lattice
+            den, rows = _mul_rows(alg, lat.den, lat.rows,
+                                  lat.den, _conj_rows(lat.rows))
+            n, m = self.nrd.numerator, self.nrd.denominator
+            prod = Lattice.from_ints(den * n, [[m * x for x in r] for r in rows])
+            self._left_order = QuatOrder(alg, prod)
             assert self._left_order.reduced_disc == self.order.reduced_disc
         return self._left_order
 
     def nrd_gram(self) -> GramMatrix:
-        return GramMatrix.from_nrd(self.order.algebra, self.lattice.basis())
+        return GramMatrix.from_nrd(self.order.algebra, self.lattice.rows,
+                                   self.lattice.den)
 
     def is_integral(self) -> bool:
         return self.order.lattice.contains_lattice(self.lattice)
@@ -364,11 +405,10 @@ def _radical(o: QuatOrder, q: int) -> Lattice:
     trd = nrd = 0 for the same reason, so J/qO is exactly the radical.
     Two congruence solves find it, the same way for every prime q.
     """
-    quats = o.basis_quaternions()
-    trace_form = [[int((x * y).trd()) for y in quats] for x in quats]
-    kernel = solve_mod_lattice(trace_form, q)
+    kernel = solve_mod_lattice(o.trace_form, q)
+    gram = o.nrd_gram()
+    norms = [[int(gram.value(k))] for k in kernel]
     rows = mat_mul(kernel, o.lattice.basis())
-    norms = [[int(_quat(o.algebra, r).nrd())] for r in rows]
     return Lattice(mat_mul(solve_mod_lattice(norms, q), rows))
 
 
@@ -376,7 +416,7 @@ def _idealizer_orders(o: QuatOrder, ideal: Lattice, q: int):
     """Left then right idealizer of a lattice squeezed between qO and O."""
     alg = o.algebra
     bound = ideal.scale(Fraction(1, q))
-    gens = [_quat(alg, v) for v in ideal.basis()]
+    gens = [alg.quaternion(*v) for v in ideal.basis()]
     left = _constrained_lattice(
         bound, [(_rmul_matrix(alg, g), ideal) for g in gens])
     right = _constrained_lattice(
@@ -496,17 +536,20 @@ def right_ideals_of_norm(o: QuatOrder, q: int) -> list[RightIdeal]:
         raise ValueError("prime divides the reduced discriminant (ramified)")
     if not o.is_maximal:
         raise ValueError("order must be maximal")
-    basis = o.basis_quaternions()
-    qrows = [[Fraction(q) * x for x in r] for r in o.lattice.basis()]
-    target_covol = o.lattice.covolume() * q * q
+    base = o.lattice
+    gram = o.nrd_gram()
+    target_covol = base.covolume() * q * q
     seen = {}
     for c in product(range(q), repeat=4):
         if not any(c):
             continue
-        x = sum((b.scale(ci) for ci, b in zip(c, basis)), o.algebra.zero())
-        if int(x.nrd()) % q:
+        if gram.value(c) % q:
             continue
-        lat = Lattice([(x * b).coords for b in basis] + qrows)
+        # x O + q O for x = sum c_s b_s, on integer rows over one denominator
+        den, rows = _mul_rows(o.algebra, base.den, [_combine(c, base.rows)],
+                              base.den, base.rows)
+        s = q * (den // base.den)
+        lat = Lattice.from_ints(den, rows + [[s * x for x in r] for r in base.rows])
         if lat.covolume() != target_covol:
             continue
         if lat not in seen:
@@ -541,18 +584,20 @@ def isomorphic_ideals(i: RightIdeal, j: RightIdeal) -> IsoResult:
         raise ValueError("order must be maximal")
     alg = i.order.algebra
     target = i.nrd * j.nrd
-    c = _lattice_product(alg, j.lattice, _conj_lattice(alg, i.lattice))
-    basis = c.basis()
-    gram = GramMatrix.from_nrd(alg, basis)
+    il, jl = i.lattice, j.lattice
+    c = Lattice.from_ints(*_mul_rows(alg, jl.den, jl.rows,
+                                     il.den, _conj_rows(il.rows)))
+    gram = GramMatrix.from_nrd(alg, c.rows, c.den)
+    n, m = i.nrd.numerator, i.nrd.denominator
     for v in short_vectors(gram, target):
         if gram.value(v) != target:
             continue
-        y = _quat(alg, [sum(Fraction(v[s]) * basis[s][t] for s in range(4))
-                        for t in range(4)])
-        x = y.scale(1 / i.nrd)
-        moved = Lattice([(x * b).coords for b in i.basis_quaternions()])
-        if moved == j.lattice:
-            return IsoResult(True, x)
+        # x = y / nrd(I) with y = sum v_s c_s, as an integer row over dx
+        x = [m * t for t in _combine(v, c.rows)]
+        dx = c.den * n
+        moved = Lattice.from_ints(*_mul_rows(alg, dx, [x], il.den, il.rows))
+        if moved == jl:
+            return IsoResult(True, alg.quaternion(*(Fraction(t, dx) for t in x)))
     return IsoResult(False, None)
 
 
@@ -564,12 +609,15 @@ def reduce_ideal(i: RightIdeal) -> RightIdeal:
     while not vectors:
         vectors = short_vectors(gram, bound)
         bound *= 2
-    basis = i.basis_quaternions()
     best = min(vectors, key=lambda v: (gram.value(v), v))
-    y = sum((b.scale(c) for c, b in zip(best, basis)),
-            i.order.algebra.zero())
-    x = y.conj().scale(1 / i.nrd)
-    return RightIdeal(i.order, Lattice([(x * b).coords for b in basis]))
+    lat = i.lattice
+    # x = conj(y) / nrd(I) with y = sum best_s b_s, as an integer row over dx
+    n, m = i.nrd.numerator, i.nrd.denominator
+    y = _combine(best, lat.rows)
+    x = [m * y[0]] + [-m * t for t in y[1:]]
+    dx = lat.den * n
+    return RightIdeal(i.order, Lattice.from_ints(
+        *_mul_rows(i.order.algebra, dx, [x], lat.den, lat.rows)))
 
 
 THETA_TERMS = 16

@@ -640,10 +640,24 @@ def _exact_norm_element(ideal: RightIdeal) -> Quaternion | None:
 
 
 def _local_generator(ideal: RightIdeal, q: int) -> Quaternion:
-    """Element whose reduced norm has the same q-valuation as nrd(ideal)."""
+    """Element whose reduced norm has the same q-valuation as nrd(ideal).
+
+    The search widens its norm bound by 4 until it finds such an element,
+    and stops at a bound where one must exist.  On the integral invertible
+    ideal I with basis b_1..b_4, f(x) = nrd(x)/nrd(I) is an integral
+    quadratic form, and f mod q is a nonzero form on I/qI: locally
+    I_q = alpha O_q, so f(alpha) is a q-unit (at a ramified q, f mod q
+    factors through the norm form of F_{q^2}).  Every class of I/qI holds
+    some x = sum c_i b_i with 0 <= c_i < q, so one of them has
+    v_q(nrd x) = v_q(nrd I).  sqrt(nrd) is a norm on a definite algebra,
+    so that x has nrd(x) <= (sum_i c_i sqrt(nrd b_i))^2
+    <= 16 (q - 1)^2 max_i nrd(b_i).  A search whose bound reaches this
+    value and finds nothing therefore raises RuntimeError.
+    """
     gram = ideal.nrd_gram()
     basis = ideal.basis_quaternions()
     target = valuation(int(ideal.nrd), q)
+    cap = 16 * (q - 1) ** 2 * max(gram.entries[s][s] for s in range(4))
     bound = ideal.nrd
     while True:
         hits = []
@@ -654,7 +668,10 @@ def _local_generator(ideal: RightIdeal, q: int) -> Quaternion:
         if hits:
             _, best = min(hits)
             return sum((c * b for c, b in zip(best, basis)), ideal.order.algebra.zero())
-        bound *= 4  # a local generator of bounded norm exists; widen and retry
+        if bound >= cap:
+            raise RuntimeError(
+                f"no element with v_{q}(nrd) = {target} within the bound {cap}")
+        bound *= 4
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,26 @@ def solve_mod_lattice(a: list[list[int]], m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def int_rows(vectors) -> tuple[int, list[list[int]]]:
+    """(d, rows) with rows integer and rows / d equal to the rational vectors."""
+    vecs = [[Fraction(x) for x in row] for row in vectors]
+    d = lcm(*[x.denominator for row in vecs for x in row]) if vecs else 1
+    return d, [[int(x * d) for x in row] for row in vecs]
+
+
+def _canonical_basis(den: int, ints, n: int):
+    """HNF of the integer rows over den, reduced to lowest terms; full rank n."""
+    rows = [r for r in hnf(ints) if any(r)]
+    if len(rows) != n:
+        raise ValueError("generators do not span a full-rank lattice")
+    g = 0
+    for r in rows:
+        for x in r:
+            g = gcd(g, x)
+    g = gcd(g, den)
+    return den // g, tuple(tuple(x // g for x in r) for r in rows)
+
+
 class Lattice:
     """Full-rank lattice in Q^n, stored as canonical HNF basis over a denominator."""
 
@@ -149,21 +169,13 @@ class Lattice:
         if _canonical:
             self.den, self.rows = generators
             return
-        gens = [[Fraction(x) for x in row] for row in generators]
-        n = len(gens[0])
-        d = lcm(*[x.denominator for row in gens for x in row]) if gens else 1
-        ints = [[int(x * d) for x in row] for row in gens]
-        h = hnf(ints)
-        rows = [r for r in h if any(r)]
-        if len(rows) != n:
-            raise ValueError("generators do not span a full-rank lattice")
-        g = 0
-        for r in rows:
-            for x in r:
-                g = gcd(g, x)
-        g = gcd(g, d)
-        self.den = d // g
-        self.rows = tuple(tuple(x // g for x in r) for r in rows)
+        d, ints = int_rows(generators)
+        self.den, self.rows = _canonical_basis(d, ints, len(ints[0]))
+
+    @classmethod
+    def from_ints(cls, den: int, rows) -> "Lattice":
+        """The lattice spanned by integer rows / den, with no Fraction in between."""
+        return cls(_canonical_basis(den, rows, len(rows[0])), _canonical=True)
 
     @property
     def n(self) -> int:
@@ -179,21 +191,25 @@ class Lattice:
             det *= self.rows[i][i]
         return Fraction(abs(det), self.den ** self.n)
 
-    def contains(self, vec) -> bool:
-        # forward substitution against the upper-triangular basis
-        d = self.den
-        v = [Fraction(x) * d for x in vec]
-        for i in range(self.n):
-            q = v[i] / self.rows[i][i]
-            if q.denominator != 1:
+    def contains(self, vec, den: int = 1) -> bool:
+        """Whether vec / den lies in the lattice.
+
+        Forward substitution against the upper-triangular basis: vec / den =
+        sum c_i rows_i / self.den needs each c_i to be an exact quotient.
+        Integer vec stays on integers; rational entries work as well.
+        """
+        v = [self.den * x for x in vec]
+        for i, row in enumerate(self.rows):
+            c, r = divmod(v[i], den * row[i])
+            if r:
                 return False
-            if q:
-                for j in range(i, self.n):
-                    v[j] -= q * self.rows[i][j]
-        return all(x == 0 for x in v)
+            if c:
+                for j in range(i + 1, self.n):
+                    v[j] -= c * den * row[j]
+        return True
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(row) for row in other.basis())
+        return all(self.contains(row, other.den) for row in other.rows)
 
     def index_in(self, other: "Lattice") -> Fraction:
         """[other : self] as a positive rational (integer when self <= other)."""

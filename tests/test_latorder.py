@@ -27,7 +27,7 @@ from locfree.latorder import (
 )
 from locfree.linalg import Lattice
 from locfree.numtheory import primes_below
-from locfree.quatalg import QuaternionAlgebra, b_p_infinity
+from locfree.quatalg import Quaternion, QuaternionAlgebra, b_p_infinity
 
 
 # --- independent helpers: fraction linear algebra and structure constants ---
@@ -197,16 +197,55 @@ def test_short_vectors_rejects_indefinite():
         short_vectors(gram, 4)
 
 
+# integral and rational (a, b), so that every structure constant differs
+KERNEL_ALGEBRAS = [QuaternionAlgebra(Fraction(a), Fraction(b)) for a, b in (
+    (-1, -1), (-1, -3), (Fraction(-1, 2), -3), (Fraction(-3, 4), Fraction(5, 2)),
+    (2, -5))]
+
+
 def test_nrd_gram_matches_structure_constants():
     rng = random.Random(52)
-    alg = QuaternionAlgebra(Fraction(-1), Fraction(-3))
-    basis = [tuple(Fraction(rng.randrange(-3, 4)) for _ in range(4))
-             for _ in range(4)]
-    gram = GramMatrix.from_nrd(alg, basis)
-    for _ in range(30):
-        c = [rng.randrange(-4, 5) for _ in range(4)]
-        combo = tuple(sum(c[i] * basis[i][j] for i in range(4)) for j in range(4))
-        assert gram.value(c) == quat_nrd(alg.a, alg.b, combo)
+    for alg in KERNEL_ALGEBRAS:
+        for den in (1, 2, 3, 6):
+            rows = [tuple(rng.randrange(-3, 4) for _ in range(4)) for _ in range(4)]
+            gram = GramMatrix.from_nrd(alg, rows, den)
+            for _ in range(30):
+                c = [rng.randrange(-4, 5) for _ in range(4)]
+                combo = tuple(Fraction(sum(c[i] * rows[i][j] for i in range(4)), den)
+                              for j in range(4))
+                assert gram.value(c) == quat_nrd(alg.a, alg.b, combo)
+
+
+def test_integer_products_match_quaternion_mul():
+    rng = random.Random(58)
+    for alg in KERNEL_ALGEBRAS:
+        for _ in range(20):
+            du, dv = rng.randrange(1, 7), rng.randrange(1, 7)
+            us = [tuple(rng.randrange(-9, 10) for _ in range(4)) for _ in range(3)]
+            vs = [tuple(rng.randrange(-9, 10) for _ in range(4)) for _ in range(2)]
+            den, rows = latorder._mul_rows(alg, du, us, dv, vs)
+            expected = [alg.quaternion(*(Fraction(x, du) for x in u))
+                        * alg.quaternion(*(Fraction(x, dv) for x in v))
+                        for u in us for v in vs]
+            assert len(rows) == len(expected)
+            for row, q in zip(rows, expected):
+                assert all(isinstance(x, int) for x in row)
+                assert tuple(Fraction(x, den) for x in row) == q.coords
+
+
+def test_class_set_makes_no_fraction_quaternion_products(monkeypatch):
+    """Orders, ideals and the neighbor search multiply on integer rows."""
+    calls = []
+    original = Quaternion.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counting)
+    monkeypatch.setattr(latorder, "_MAXIMAL_CACHE", {})
+    assert len(class_set(maximal_order(b_p_infinity(101)))) == 9
+    assert calls == []
 
 
 def test_hurwitz_order():
@@ -555,3 +594,14 @@ def test_order_and_ideal_validation():
     with pytest.raises(ValueError):
         RightIdeal(o, Lattice([(1, 0, 0, 0), (0, 3, 0, 0),
                                (0, 0, 1, 0), (0, 0, 0, 1)]))
+    # a rational algebra: the checks run on rows scaled by ad bd = 2
+    alg = QuaternionAlgebra(Fraction(-1, 2), Fraction(-3))
+    o = maximal_order(alg)
+    basis = o.lattice.basis()
+    with pytest.raises(ValueError):
+        # (i/7)^2 = -1/98 is not integral
+        QuatOrder(alg, Lattice(list(basis) + [(0, Fraction(1, 7), 0, 0)]))
+    with pytest.raises(ValueError):
+        # Z + 3O contains 1 but not 1 * O
+        RightIdeal(o, Lattice([(1, 0, 0, 0)] + [[3 * x for x in r] for r in basis]))
+    assert RightIdeal(o, Lattice([[3 * x for x in r] for r in basis])).nrd == 9

@@ -13,6 +13,7 @@ from locfree.latorder import (
     ideal_mul,
     right_ideals_of_norm,
 )
+from locfree import lfcg
 from locfree.lfcg import (
     MatrixFactor,
     MaximalOrderDescriptor,
@@ -30,7 +31,7 @@ from locfree.lfcg import (
     swan_class_group,
 )
 from locfree.linalg import Lattice
-from locfree.numtheory import Place, hilbert_symbol, primes_below
+from locfree.numtheory import Place, factor, hilbert_symbol, primes_below, valuation
 from locfree.quadfield import RATIONALS, QuadField, prime_ideals_above
 from locfree.quatalg import QuaternionAlgebra, b_p_infinity
 
@@ -294,3 +295,27 @@ def test_group_law_fractional_scaling():
     o11 = maximal_order(b_p_infinity(11))
     with pytest.raises(ValueError):
         group_law_check(i, RightIdeal.unit_ideal(o11))
+
+
+def test_local_generator_within_the_proven_bound(monkeypatch):
+    # nrd(x) <= 16 (q - 1)^2 max nrd(b_i) holds for the element found, at
+    # split primes dividing nrd(I) and at the ramified prime
+    for p in (11, 37):
+        o = maximal_order(b_p_infinity(p))
+        ideals = [RightIdeal.unit_ideal(o)]
+        for q in (2, 3, 5):
+            ideals += right_ideals_of_norm(o, q)[:3]
+        ideals.append(ideal_mul(right_ideals_of_norm(ideals[1].left_order(), 3)[0],
+                                ideals[1]))
+        for i in ideals:
+            gram = i.nrd_gram()
+            biggest = max(gram.entries[s][s] for s in range(4))
+            for q in sorted({p} | {r for r, _ in factor(int(i.nrd)).factors}):
+                x = lfcg._local_generator(i, q)
+                assert i.lattice.contains(x.coords)
+                assert valuation(int(x.nrd()), q) == valuation(int(i.nrd), q)
+                assert x.nrd() <= 16 * (q - 1) ** 2 * biggest
+    # with no short vectors at all the search stops instead of widening forever
+    monkeypatch.setattr(lfcg, "short_vectors", lambda gram, bound: [])
+    with pytest.raises(RuntimeError):
+        lfcg._local_generator(ideals[1], 2)

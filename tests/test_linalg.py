@@ -130,6 +130,40 @@ def test_lattice_contains_and_membership():
         assert lat.contains(row)
 
 
+def test_integer_rows_against_fraction_lattices():
+    """from_ints equals the Fraction constructor, and contains(vec, den)
+    agrees with solving vec / den = c B over Q."""
+    rng = random.Random(16)
+    members = non_members = 0
+    for _ in range(60):
+        n = rng.choice([2, 3, 4])
+        den = rng.randrange(1, 7)
+        rows = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n + 1)]
+        if mat_det(rows[:n]) == 0:
+            continue
+        lat = Lattice.from_ints(den, rows)
+        assert lat == Lattice([[Fraction(x, den) for x in r] for r in rows])
+        basis_inv = mat_inv(lat.basis())
+        for _ in range(20):
+            if rng.random() < 0.5:
+                # a member: k (sum c_i rows_i) over k den is in the lattice
+                k = rng.randrange(1, 4)
+                c = [rng.randrange(-3, 4) for _ in range(n)]
+                vec = [k * sum(c[i] * lat.rows[i][j] for i in range(n)) for j in range(n)]
+                d = k * lat.den
+            else:
+                vec = [rng.randrange(-12, 13) for _ in range(n)]
+                d = rng.randrange(1, 7)
+            coords = [sum(Fraction(vec[i], d) * basis_inv[i][j] for i in range(n))
+                      for j in range(n)]
+            inside = all(x.denominator == 1 for x in coords)
+            members += inside
+            non_members += not inside
+            assert lat.contains(vec, d) == inside
+            assert lat.contains([Fraction(x, d) for x in vec]) == inside
+    assert members > 100 and non_members > 100
+
+
 def test_lattice_sum_intersection_duality():
     rng = random.Random(15)
     for _ in range(40):
