@@ -6,14 +6,16 @@ det(trd(e_i e_j)) = +-d^2 on any basis.  Maximal orders of the algebras that
 b_p_infinity returns come from closed-form bases (Pizer, J. Algebra 64, 1980);
 every other algebra gets one by saturating an obvious starting order prime by
 prime: first the radical-idealizer step, then, where that stalls at a split
-prime, an idempotent-splitting step.  The radical of O/qO is the image of the
-x in O with trd(xO) = 0 and nrd(x) = 0 (mod q), found by linear algebra: the
-first condition is the kernel of the trace form, and on that kernel nrd is
-linear mod q, because the cross term trd(x conj(y)) of nrd(x + y) vanishes
-there and c^2 = c mod 2 (for odd q, trd(x^2) = trd(x)^2 - 2 nrd(x) already
-forces nrd(x) = 0).  Right ideals, their left orders, isomorphism testing by
-short-vector search, and breadth-first enumeration of the ideal class set all
-live here.
+prime, the idealizers of the lattices xO + qO for zero divisors x mod q.
+Those lattices come from one projective scan of O/qO, which also yields the
+norm-q right ideals of a maximal order.  The radical of O/qO is the image
+of the x in O with trd(xO) = 0 and nrd(x) = 0 (mod q), found by linear
+algebra: the first condition is the kernel of the trace form, and on that
+kernel nrd is linear mod q, because the cross term trd(x conj(y)) of
+nrd(x + y) vanishes there and c^2 = c mod 2 (for odd q,
+trd(x^2) = trd(x)^2 - 2 nrd(x) already forces nrd(x) = 0).  Right ideals,
+their left orders, isomorphism testing by short-vector search, and
+breadth-first enumeration of the ideal class set all live here.
 
 Short vectors come from a Fincke-Pohst search run on integers: the LDL data
 is scaled to common denominators once.  The class set search keys every
@@ -28,8 +30,9 @@ would add a positive term, so the set is then complete.
 Lattice products run on the integer rows of Lattice (den, rows).  With
 a = an/ad and b = bn/bd, ad bd times the product of two integer quaternions
 is integral, with structure constants ad bd, an bd, bn ad and an bn, so the
-order checks, ideal products, isomorphism witnesses and the reduced norm
-Gram matrices need no Fraction quaternion.
+order checks, ideal products, isomorphism witnesses, the zero-divisor scan,
+the radical and the reduced norm Gram matrices need no Fraction quaternion.
+Only the idealizer step of saturation still multiplies Fraction quaternions.
 """
 
 from __future__ import annotations
@@ -246,9 +249,6 @@ class QuatOrder:
             "trace pairing determinant must be a perfect square"
         self.reduced_disc = int(root)
 
-    def basis_quaternions(self) -> list[Quaternion]:
-        return [self.algebra.quaternion(*r) for r in self.lattice.basis()]
-
     @property
     def is_maximal(self) -> bool:
         return self.reduced_disc == self.algebra.reduced_disc
@@ -381,16 +381,18 @@ _MAXIMAL_CACHE: dict[QuaternionAlgebra, QuatOrder] = {}
 
 
 def _starting_order(b: QuaternionAlgebra) -> QuatOrder:
-    rows = [[Fraction(0)] * 4 for _ in range(4)]
-    rows[0][0] = Fraction(1)
-    scales = []
-    for q in (b.a, b.b):
-        _, f = squarefree_part(q.numerator * q.denominator)
-        scales.append(Fraction(q.denominator, f))
-    rows[1][1] = scales[0]
-    rows[2][2] = scales[1]
-    rows[3][3] = scales[0] * scales[1]
-    return QuatOrder(b, Lattice(rows))
+    """Z<1, s i, t j, st k> with s = ad/fa and t = bd/fb.
+
+    fa^2 and fb^2 are the largest squares dividing an ad and bn bd, so
+    (s i)^2 = an ad / fa^2 and (t j)^2 = bn bd / fb^2 are integers.  The
+    rows are integers over the denominator fa fb.
+    """
+    ad, bd = b.a.denominator, b.b.denominator
+    _, fa = squarefree_part(b.a.numerator * ad)
+    _, fb = squarefree_part(b.b.numerator * bd)
+    f = fa * fb
+    return QuatOrder(b, Lattice.from_ints(f, [(f, 0, 0, 0), (0, ad * fb, 0, 0),
+                                              (0, 0, bd * fa, 0), (0, 0, 0, ad * bd)]))
 
 
 def _radical(o: QuatOrder, q: int) -> Lattice:
@@ -405,11 +407,40 @@ def _radical(o: QuatOrder, q: int) -> Lattice:
     trd = nrd = 0 for the same reason, so J/qO is exactly the radical.
     Two congruence solves find it, the same way for every prime q.
     """
+    base = o.lattice
     kernel = solve_mod_lattice(o.trace_form, q)
     gram = o.nrd_gram()
     norms = [[int(gram.value(k))] for k in kernel]
-    rows = mat_mul(kernel, o.lattice.basis())
-    return Lattice(mat_mul(solve_mod_lattice(norms, q), rows))
+    rows = [_combine(k, base.rows) for k in kernel]
+    return Lattice.from_ints(base.den, [_combine(z, rows)
+                                        for z in solve_mod_lattice(norms, q)])
+
+
+def _zero_divisor_lattices(o: QuatOrder, q: int):
+    """Each distinct lattice xO + qO for x in O, x not in qO, nrd(x) = 0 mod q.
+
+    The lattice only depends on the line through x mod q, so x = sum c_s b_s
+    runs over the (q^4 - 1)/(q - 1) projective representatives c of O/qO,
+    first nonzero coordinate 1, in lexicographic order.  Lattices come
+    lazily, first occurrence first, so callers can stop at the first one
+    that serves.
+    """
+    base = o.lattice
+    gram = o.nrd_gram()
+    seen = set()
+    for lead in (3, 2, 1, 0):
+        for tail in product(range(q), repeat=3 - lead):
+            c = (0,) * lead + (1,) + tail
+            if gram.value(c) % q:
+                continue
+            den, rows = _mul_rows(o.algebra, base.den, [_combine(c, base.rows)],
+                                  base.den, base.rows)
+            s = q * (den // base.den)
+            lat = Lattice.from_ints(
+                den, rows + [[s * x for x in r] for r in base.rows])
+            if lat not in seen:
+                seen.add(lat)
+                yield lat
 
 
 def _idealizer_orders(o: QuatOrder, ideal: Lattice, q: int):
@@ -433,22 +464,8 @@ def _saturate_step(o: QuatOrder, q: int) -> QuatOrder | None:
             return cand
     # Radical idealizers stall exactly on hereditary orders.  At a split q
     # the order is then Eichler of level q, and some zero divisor x gives a
-    # lattice xO + qO with a strictly larger idealizer.  The lattice only
-    # depends on the line through x mod q, so scan projective
-    # representatives and try every distinct lattice.
-    basis = o.basis_quaternions()
-    qrows = [[Fraction(q) * v for v in r] for r in o.lattice.basis()]
-    seen = set()
-    for c in product(range(q), repeat=4):
-        if not any(c) or next(v for v in c if v) != 1:
-            continue
-        x = sum((b.scale(ci) for ci, b in zip(c, basis)), o.algebra.zero())
-        if int(x.nrd()) % q:
-            continue
-        ideal = Lattice([(x * b).coords for b in basis] + qrows)
-        if ideal in seen:
-            continue
-        seen.add(ideal)
+    # lattice xO + qO with a strictly larger idealizer.
+    for ideal in _zero_divisor_lattices(o, q):
         for cand in _idealizer_orders(o, ideal, q):
             if valuation(cand.reduced_disc, q) < cur:
                 return cand
@@ -528,7 +545,10 @@ def right_ideals_of_norm(o: QuatOrder, q: int) -> list[RightIdeal]:
     """The q+1 integral right ideals of reduced norm q in a maximal order.
 
     Requires q prime and unramified (q does not divide the reduced
-    discriminant); the ideals correspond to the projective line over F_q.
+    discriminant).  Then O/qO = M_2(F_q), each ideal is xO + qO for a zero
+    divisor x, and the ideals correspond to the projective line over F_q.
+    The scan builds one lattice for each of the (q + 1)^2 projective zero
+    divisors.
     """
     if not is_prime(q):
         raise ValueError("norm must be prime")
@@ -536,25 +556,10 @@ def right_ideals_of_norm(o: QuatOrder, q: int) -> list[RightIdeal]:
         raise ValueError("prime divides the reduced discriminant (ramified)")
     if not o.is_maximal:
         raise ValueError("order must be maximal")
-    base = o.lattice
-    gram = o.nrd_gram()
-    target_covol = base.covolume() * q * q
-    seen = {}
-    for c in product(range(q), repeat=4):
-        if not any(c):
-            continue
-        if gram.value(c) % q:
-            continue
-        # x O + q O for x = sum c_s b_s, on integer rows over one denominator
-        den, rows = _mul_rows(o.algebra, base.den, [_combine(c, base.rows)],
-                              base.den, base.rows)
-        s = q * (den // base.den)
-        lat = Lattice.from_ints(den, rows + [[s * x for x in r] for r in base.rows])
-        if lat.covolume() != target_covol:
-            continue
-        if lat not in seen:
-            seen[lat] = RightIdeal(o, lat)
-    out = sorted(seen.values(), key=lambda i: i.lattice.key())
+    target_covol = o.lattice.covolume() * q * q
+    ideals = [RightIdeal(o, lat) for lat in _zero_divisor_lattices(o, q)
+              if lat.covolume() == target_covol]
+    out = sorted(ideals, key=lambda i: i.lattice.key())
     assert len(out) == q + 1, f"expected {q + 1} ideals, found {len(out)}"
     return out
 

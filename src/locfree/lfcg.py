@@ -6,7 +6,10 @@ and quaternion algebras over a quadratic field given by ramification data.
 The locally free class group of a maximal order depends only on the algebra
 and equals a product of ray class groups of the centers, with ray conditions
 exactly at the ramified real places.  Stable isomorphism of right ideals is
-detected by the class of the reduced norm in that group.
+detected by the class of the reduced norm in that group.  group_law_check
+realizes the group law on ideals: the product of two right ideals is one
+lattice sum built from local generators of the factors at each prime
+dividing the product of their norms.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +24,6 @@ from .latorder import (
     maximal_order,
     short_vectors,
 )
-from .linalg import Lattice
 from .numtheory import factor, fraction_str, is_prime, valuation
 from .quadfield import (
     RATIONALS,
@@ -699,9 +701,16 @@ class GroupLawWitness:
 def group_law_check(i: RightIdeal, j: RightIdeal) -> GroupLawWitness:
     """Product of two right ideals over one definite maximal order.
 
-    Builds an ideal whose localization at every prime is generated by the
-    product of local generators of the factors, checks that its reduced norm
-    is the product of the factor norms, and checks the stable-class group law.
+    Builds the ideal whose localization at every prime q is generated by
+    c_q d_q, for local generators c_q of I and d_q of J, checks that its
+    reduced norm is the product of the factor norms, and checks the
+    stable-class group law.  With both ideals scaled to integer coordinates
+    and n = nrd(I) nrd(J), that ideal is the single lattice sum
+    nO + sum over q | n of (n / q^v) c_q d_q O, v = v_q(n): at q the other
+    terms lie in q^v O, so it is c_q d_q O_q + q^v O_q, and at every other
+    prime n is a unit, so it is O.  When I and J hold elements c, d of the
+    norms nrd(I) and nrd(J), c_q = c and d_q = d at every q, and the sum is
+    cdO, which holds nO = cd conj(cd) O.
     """
     order = i.order
     if order != j.order:
@@ -717,30 +726,17 @@ def group_law_check(i: RightIdeal, j: RightIdeal) -> GroupLawWitness:
     jj = RightIdeal(order, j.lattice.scale(sj))
     n = ii.nrd * jj.nrd
     assert n.denominator == 1
+    n = int(n)
 
-    used_global = False
-    if n == 1:
-        product_int = RightIdeal.unit_ideal(order)
-        used_global = True
-    else:
-        ci = _exact_norm_element(ii)
-        cj = _exact_norm_element(jj)
-        used_global = ci is not None and cj is not None
-        if used_global:
-            product_int = RightIdeal.from_generators(order, [ci * cj])
-        else:
-            unit_rows = order.lattice.basis()
-            lat = None
-            for q, _ in factor(int(n)).factors:
-                cq = ci if ci is not None else _local_generator(ii, q)
-                dq = cj if cj is not None else _local_generator(jj, q)
-                d = cq * dq
-                qv = q ** valuation(int(n), q)
-                local = Lattice([(d * b).coords for b in order.basis_quaternions()]).add(
-                    Lattice([[qv * x for x in row] for row in unit_rows])
-                )
-                lat = local if lat is None else lat.intersect(local)
-            product_int = RightIdeal(order, lat)
+    ci, cj = _exact_norm_element(ii), _exact_norm_element(jj)
+    # n = 1 leaves no prime to localize at, which counts as global
+    used_global = n == 1 or (ci is not None and cj is not None)
+    gens = [order.algebra.quaternion(n)]
+    for q, v in factor(n).factors:
+        cq = ci if ci is not None else _local_generator(ii, q)
+        dq = cj if cj is not None else _local_generator(jj, q)
+        gens.append(cq * dq * (n // q ** v))
+    product_int = RightIdeal.from_generators(order, gens)
     assert product_int.nrd == n, "product ideal must have the product of the norms"
 
     scale = Fraction(1, si * sj)

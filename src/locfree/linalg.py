@@ -11,10 +11,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def identity(n: int) -> tuple:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
 def mat_mul(a, b) -> tuple:
     n, k, m = len(a), len(b), len(b[0])
     assert len(a[0]) == k
@@ -22,10 +18,6 @@ def mat_mul(a, b) -> tuple:
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
     )
-
-
-def transpose(a) -> tuple:
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
 
 
 def mat_det(a) -> Fraction:
@@ -210,19 +202,6 @@ class Lattice:
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(row, other.den) for row in other.rows)
-
-    def index_in(self, other: "Lattice") -> Fraction:
-        """[other : self] as a positive rational (integer when self <= other)."""
-        return self.covolume() / other.covolume()
-
-    def add(self, other: "Lattice") -> "Lattice":
-        return Lattice(list(self.basis()) + list(other.basis()))
-
-    def dual(self) -> "Lattice":
-        return Lattice(transpose(mat_inv(self.basis())))
-
-    def intersect(self, other: "Lattice") -> "Lattice":
-        return self.dual().add(other.dual()).dual()
 
     def scale(self, r) -> "Lattice":
         r = Fraction(r)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
 # The witness set (2,3,5,7,11,13,17) is deterministic for n < 3.4e14; we stop
@@ -284,61 +283,6 @@ def hilbert_symbol(a, b, place: Place) -> int:
     if alpha % 2:
         sym *= _unit_legendre(w, p)
     return sym
-
-
-@lru_cache(maxsize=64)
-def _sqrt_tables(p: int, k: int):
-    """For m = p**k: smallest square root of each square mod m, and the smallest
-    root that is a unit mod p (-1 when absent)."""
-    m = p ** k
-    any_root = [-1] * m
-    unit_root = [-1] * m
-    for z in range(m - 1, -1, -1):
-        t = z * z % m
-        any_root[t] = z
-        if z % p:
-            unit_root[t] = z
-    return m, any_root, unit_root
-
-
-def solve_conic_mod(a: int, b: int, p: int, k: int):
-    """First primitive solution (x, y, z) of z^2 = a x^2 + b y^2 (mod p^k), or None.
-
-    Primitive means not all of x, y, z divisible by p.  The scan order is
-    row-major in (x, y) with the smallest admissible z, so the witness is
-    deterministic.  This is a brute-force oracle, independent of the Hilbert
-    symbol formulas.
-    """
-    if not is_prime(p) or k < 1:
-        raise ValueError("modulus must be a positive prime power")
-    m, any_root, unit_root = _sqrt_tables(p, k)
-    a %= m
-    b %= m
-    for x in range(m):
-        ax2 = a * x * x % m
-        x_unit = x % p != 0
-        for y in range(m):
-            t = (ax2 + b * y * y) % m
-            if x_unit or y % p:
-                z = any_root[t]
-                if z >= 0:
-                    return (x, y, z)
-            else:
-                z = unit_root[t]
-                if z >= 0:
-                    return (x, y, z)
-    return None
-
-
-def hilbert_conic_agrees(a: int, b: int, p: int, k: int) -> bool:
-    """Check hilbert_symbol against the conic search at precision p^k."""
-    sym = hilbert_symbol(a, b, Place.finite(p))
-    sol = solve_conic_mod(a, b, p, k)
-    if sol is None:
-        return sym == -1
-    x, y, z = sol
-    assert (z * z - a * x * x - b * y * y) % p ** k == 0
-    return sym == 1
 
 
 def sqrt_fraction(x: Fraction) -> Fraction | None:

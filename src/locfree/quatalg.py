@@ -169,10 +169,6 @@ class Quaternion:
     def is_zero(self) -> bool:
         return all(p == 0 for p in self.coords)
 
-    def scale(self, r) -> "Quaternion":
-        r = Fraction(r)
-        return Quaternion(self.algebra, tuple(r * p for p in self.coords))
-
 
 def b_p_infinity(p: int) -> QuaternionAlgebra:
     """The quaternion algebra over Q ramified exactly at p and the real place.

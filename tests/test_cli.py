@@ -4,7 +4,9 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 jsonschema = pytest.importorskip("jsonschema")
 
 from locfree.cli import run
+from locfree.latorder import maximal_order
+from locfree.quatalg import QuaternionAlgebra
+from test_latorder import _closed_superlattice_lines
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "output.schema.json"
 
@@ -152,6 +157,32 @@ def test_quadclass_json_property(D, narrow):
     assert product == order
     if D < 0:
         assert order == count_reduced_definite_forms(D)
+
+
+SYMBOL_ENTRIES = st.builds(Fraction, st.integers(-40, 40).filter(bool),
+                           st.integers(1, 4))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(a=SYMBOL_ENTRIES, b=SYMBOL_ENTRIES)
+def test_swan_spec_saturation_property(a, b):
+    # (a, b) with denominators mostly lies outside the closed forms, so the
+    # maximal order comes from saturation
+    doc = {"factors": [{"kind": "quaternion", "a": str(a), "b": str(b)}]}
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(doc))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["lfcg", "swan", "--json", "--spec", str(path)])
+    assert code in (0, 1, 2), doc
+    assert "Traceback" not in err.getvalue()
+    if code:
+        return
+    o = maximal_order(QuaternionAlgebra(a, b))
+    for q in (2, 3, 5, 7):
+        if o.reduced_disc % q == 0:
+            assert not _closed_superlattice_lines(o, q)
 
 
 def test_no_ansi_escapes(capsys):

@@ -308,6 +308,55 @@ def test_right_ideals_of_norm_against_sublattice_enumeration():
             assert i.nrd == q and i.is_integral()
 
 
+def _all_tuples_norm_q_lattices(o, q):
+    """The norm-q scan that the projective zero-divisor scan replaced.
+
+    Every nonzero c in (Z/q)^4 with nrd(sum c_s b_s) = 0 (mod q) gives
+    xO + qO; the lattices of index q^2 in O are the norm-q ideals.
+    """
+    base = o.lattice
+    gram = o.nrd_gram()
+    target_covol = base.covolume() * q * q
+    seen = set()
+    for c in itertools.product(range(q), repeat=4):
+        if not any(c) or gram.value(c) % q:
+            continue
+        den, rows = latorder._mul_rows(o.algebra, base.den,
+                                       [latorder._combine(c, base.rows)],
+                                       base.den, base.rows)
+        s = q * (den // base.den)
+        lat = Lattice.from_ints(den, rows + [[s * x for x in r] for r in base.rows])
+        if lat.covolume() == target_covol:
+            seen.add(lat)
+    return seen
+
+
+def test_projective_scan_matches_all_tuples():
+    for p in (2, 11, 37):
+        o = maximal_order(b_p_infinity(p))
+        for q in (5, 7, 11):
+            if o.reduced_disc % q == 0:
+                continue
+            ids = right_ideals_of_norm(o, q)
+            assert {i.lattice for i in ids} == _all_tuples_norm_q_lattices(o, q)
+
+
+def test_norm_q_scan_builds_one_lattice_per_projective_zero_divisor(monkeypatch):
+    # O/qO = M_2(F_q) has (q + 1)^2 projective zero divisors, against
+    # (q + 1)^2 (q - 1) nonzero ones in a scan of every tuple
+    o = maximal_order(b_p_infinity(2))
+    calls = []
+    original = Lattice.from_ints
+
+    def counting(cls, den, rows):
+        calls.append(1)
+        return original(den, rows)
+
+    monkeypatch.setattr(Lattice, "from_ints", classmethod(counting))
+    assert len(right_ideals_of_norm(o, 13)) == 14
+    assert len(calls) == 14 ** 2
+
+
 def test_ramified_norm_is_unique_and_rejected():
     o = maximal_order(b_p_infinity(2))
     # at the ramified prime the only index-4 right-stable lattice is the
@@ -402,8 +451,9 @@ def test_radical_needs_the_norm_condition():
     alg = QuaternionAlgebra(Fraction(-1), Fraction(-1))
     o = QuatOrder(alg, Lattice([(1, 0, 0, 0), (0, 1, 0, 0),
                                 (0, 0, 1, 0), (0, 0, 0, 1)]))
-    assert all((p * q).trd() % 2 == 0
-               for p in o.basis_quaternions() for q in o.basis_quaternions())
+    basis = o.lattice.basis()
+    assert all(2 * quat_mul(alg.a, alg.b, u, v)[0] % 2 == 0
+               for u in basis for v in basis)
     coords = _radical_coords(o, 2)
     assert coords == _brute_force_radical(o, 2)
     assert len(coords) == 2 ** 3
@@ -509,8 +559,9 @@ def test_theta_key_is_a_class_invariant(class_sets_under_100):
             assert sum(key) > 0
             for _ in range(2):
                 c = [rng.randrange(-1, 2) for _ in range(4)]
-                x = sum((b.scale(ci) for ci, b in zip(c, o.basis_quaternions())),
-                        o.algebra.zero()).scale(Fraction(1, rng.randrange(1, 4)))
+                d = rng.randrange(1, 4)
+                x = o.algebra.quaternion(*(Fraction(t, d)
+                                           for t in vec_times(c, o.lattice.basis())))
                 if x.is_zero():
                     continue
                 moved = RightIdeal(o, Lattice([(x * b).coords

@@ -269,20 +269,53 @@ def test_group_law_unit_and_principal():
     assert w2.product == RightIdeal.principal(o, x * y) or w2.product.nrd == x.nrd() * y.nrd()
 
 
+def _assert_product_is_the_local_intersection(w, i, j):
+    """The product equals the intersection over q | n of c_q d_q O + q^v O.
+
+    The local lattices come from Fraction quaternion products here.  The
+    product lies in each of them and in O, and its index in O is n^2, the
+    index of their intersection, so the two are equal.
+    """
+    o = i.order
+    si, sj = i.lattice.den, j.lattice.den
+    ii = RightIdeal(o, i.lattice.scale(si))
+    jj = RightIdeal(o, j.lattice.scale(sj))
+    n = int(ii.nrd * jj.nrd)
+    product = w.product.lattice.scale(si * sj)
+    rows = o.lattice.basis()
+    basis = [o.algebra.quaternion(*r) for r in rows]
+    ci, cj = lfcg._exact_norm_element(ii), lfcg._exact_norm_element(jj)
+    for q, v in factor(n).factors:
+        cq = ci if ci is not None else lfcg._local_generator(ii, q)
+        dq = cj if cj is not None else lfcg._local_generator(jj, q)
+        local = Lattice([(cq * dq * b).coords for b in basis]
+                        + [[q ** v * x for x in r] for r in rows])
+        assert o.lattice.contains_lattice(local)
+        assert local.contains_lattice(product)
+    assert o.lattice.contains_lattice(product)
+    assert product.covolume() / o.lattice.covolume() == n * n
+
+
 def test_group_law_random_pairs():
     rng = random.Random(64)
-    o = maximal_order(b_p_infinity(11))
-    pool = [RightIdeal.unit_ideal(o)]
-    for q in (2, 3, 5, 7):
-        pool.extend(right_ideals_of_norm(o, q))
-    saw_local = False
-    for _ in range(20):
-        i, j = rng.choice(pool), rng.choice(pool)
-        w = group_law_check(i, j)
-        assert w.nrd_product == w.nrd_left * w.nrd_right == i.nrd * j.nrd
-        assert w.stable_ok
-        saw_local = saw_local or not w.global_generators
-    assert saw_local  # nontrivial classes force the prime-by-prime route
+    saw_local = saw_two_primes = False
+    for p in (11, 37):
+        o = maximal_order(b_p_infinity(p))
+        pool = [RightIdeal.unit_ideal(o)]
+        for q in (2, 3, 5, 7):
+            pool.extend(right_ideals_of_norm(o, q))
+        for _ in range(20):
+            i, j = rng.choice(pool), rng.choice(pool)
+            w = group_law_check(i, j)
+            assert w.nrd_product == w.nrd_left * w.nrd_right == i.nrd * j.nrd
+            assert w.stable_ok
+            _assert_product_is_the_local_intersection(w, i, j)
+            if not w.global_generators:
+                saw_local = True
+                n = w.nrd_product * i.lattice.den ** 2 * j.lattice.den ** 2
+                saw_two_primes = saw_two_primes or len(factor(int(n)).factors) > 1
+    # nontrivial classes force local generators, at more than one prime
+    assert saw_local and saw_two_primes
 
 
 def test_group_law_fractional_scaling():

@@ -9,13 +9,11 @@ import pytest
 from locfree.linalg import (
     Lattice,
     hnf,
-    identity,
     int_left_kernel,
     mat_det,
     mat_inv,
     mat_mul,
     solve_mod_lattice,
-    transpose,
 )
 
 
@@ -54,17 +52,18 @@ def test_mat_det_matches_permanent_expansion():
             assert mat_det(a) == det_by_permutations(a)
 
 
-def test_mat_inv_and_transpose():
+def test_mat_inv():
     rng = random.Random(12)
     for n in (2, 3, 4):
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         done = 0
         while done < 20:
             a = random_matrix(rng, n)
             if mat_det(a) == 0:
                 continue
             done += 1
-            assert mat_mul(a, mat_inv(a)) == identity(n)
-            assert transpose(transpose(a)) == tuple(tuple(r) for r in a)
+            assert mat_mul(a, mat_inv(a)) == identity
+            assert mat_mul(mat_inv(a), a) == identity
     with pytest.raises(ZeroDivisionError):
         mat_inv([[1, 2], [2, 4]])
 
@@ -118,6 +117,8 @@ def test_lattice_canonical_forms():
     assert l3.den == 6
     with pytest.raises(ValueError):
         Lattice([[1, 2], [2, 4]])
+    assert l1.scale(Fraction(1, 3)).scale(3) == l1
+    assert l3.scale(6) == Lattice([[3, 0], [0, 2]])
 
 
 def test_lattice_contains_and_membership():
@@ -164,22 +165,11 @@ def test_integer_rows_against_fraction_lattices():
     assert members > 100 and non_members > 100
 
 
-def test_lattice_sum_intersection_duality():
-    rng = random.Random(15)
-    for _ in range(40):
-        a = Lattice([[rng.randrange(1, 5), rng.randrange(-3, 4)], [0, rng.randrange(1, 5)]])
-        b = Lattice([[rng.randrange(1, 5), rng.randrange(-3, 4)], [0, rng.randrange(1, 5)]])
-        s, i = a.add(b), a.intersect(b)
-        assert s.contains_lattice(a) and s.contains_lattice(b)
-        assert a.contains_lattice(i) and b.contains_lattice(i)
-        # second isomorphism theorem for indices
-        assert s.covolume() * i.covolume() == a.covolume() * b.covolume()
-        assert a.dual().dual() == a
-        assert a.scale(Fraction(1, 3)).scale(3) == a
-
-
 def test_lattice_index_in():
+    # [A : B] is the covolume ratio, read off the HNF diagonals
     a = Lattice([[1, 0], [0, 1]])
     b = Lattice([[2, 0], [0, 3]])
-    assert b.index_in(a) == 6
-    assert a.index_in(b) == Fraction(1, 6)
+    c = Lattice([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+    assert b.covolume() / a.covolume() == 6
+    assert a.covolume() / b.covolume() == Fraction(1, 6)
+    assert c.contains_lattice(a) and a.covolume() / c.covolume() == 2

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from locfree.numtheory import (
     Place,
     factor,
-    hilbert_conic_agrees,
     hilbert_symbol,
     is_prime,
     jacobi,
@@ -16,7 +16,6 @@ from locfree.numtheory import (
     legendre,
     primes,
     primes_below,
-    solve_conic_mod,
     sqrt_fraction,
     squarefree_part,
     valuation,
@@ -163,6 +162,64 @@ def test_hilbert_symbol_bimultiplicative():
         c = rng.choice([n for n in range(-20, 21) if n])
         v = rng.choice(places)
         assert hilbert_symbol(a * b, c, v) == hilbert_symbol(a, c, v) * hilbert_symbol(b, c, v)
+
+
+# --- brute-force conic oracle, independent of the Hilbert symbol formulas ---
+
+
+@lru_cache(maxsize=64)
+def _sqrt_tables(p: int, k: int):
+    """For m = p**k: smallest square root of each square mod m, and the smallest
+    root that is a unit mod p (-1 when absent)."""
+    m = p ** k
+    any_root = [-1] * m
+    unit_root = [-1] * m
+    for z in range(m - 1, -1, -1):
+        t = z * z % m
+        any_root[t] = z
+        if z % p:
+            unit_root[t] = z
+    return m, any_root, unit_root
+
+
+def solve_conic_mod(a: int, b: int, p: int, k: int):
+    """First primitive solution (x, y, z) of z^2 = a x^2 + b y^2 (mod p^k), or None.
+
+    Primitive means not all of x, y, z divisible by p.  The scan order is
+    row-major in (x, y) with the smallest admissible z, so the witness is
+    deterministic.  This is a brute-force oracle, independent of the Hilbert
+    symbol formulas.
+    """
+    if not is_prime(p) or k < 1:
+        raise ValueError("modulus must be a positive prime power")
+    m, any_root, unit_root = _sqrt_tables(p, k)
+    a %= m
+    b %= m
+    for x in range(m):
+        ax2 = a * x * x % m
+        x_unit = x % p != 0
+        for y in range(m):
+            t = (ax2 + b * y * y) % m
+            if x_unit or y % p:
+                z = any_root[t]
+                if z >= 0:
+                    return (x, y, z)
+            else:
+                z = unit_root[t]
+                if z >= 0:
+                    return (x, y, z)
+    return None
+
+
+def hilbert_conic_agrees(a: int, b: int, p: int, k: int) -> bool:
+    """Check hilbert_symbol against the conic search at precision p^k."""
+    sym = hilbert_symbol(a, b, Place.finite(p))
+    sol = solve_conic_mod(a, b, p, k)
+    if sol is None:
+        return sym == -1
+    x, y, z = sol
+    assert (z * z - a * x * x - b * y * y) % p ** k == 0
+    return sym == 1
 
 
 def test_solve_conic_mod_returns_valid_primitive_witness():
