@@ -17,15 +17,22 @@ trd(x^2) = trd(x)^2 - 2 nrd(x) already forces nrd(x) = 0).  Right ideals,
 their left orders, isomorphism testing by short-vector search, and
 breadth-first enumeration of the ideal class set all live here.
 
-Short vectors come from a Fincke-Pohst search run on integers: the LDL data
-is scaled to common denominators once.  The class set search keys every
-ideal I by the first THETA_TERMS theta coefficients of nrd(x)/nrd(I) on I.
-That key is a class invariant, because left multiplication by y maps I onto
-yI and scales nrd(x) and nrd(I) alike by nrd(y), so isomorphism is only
-tested between ideals with equal keys.  The search stops when the classes
-found reach Eichler's mass, sum of 1/|O_L(I)^x| = prod_{p | disc} (p - 1)
-/ 24: the classes found are pairwise non-isomorphic and each missing class
-would add a positive term, so the set is then complete.
+A norm form is a GramMatrix: an integer matrix over one denominator, filled
+straight from the integer rows of a lattice.  Short vectors come from one
+all-integer LLL reduction of that matrix (Cohen, GTM 138, Alg. 2.6.7), whose
+leading minors d and scaled Gram-Schmidt coefficients lam are integers; a
+Fincke-Pohst descent runs on those integers in the reduced basis and maps
+each vector back, so no Fraction arithmetic and no skewed basis slows the
+search.  Callers compare the integer numerators of norms.
+
+The class set search keys every ideal I by the first THETA_TERMS theta
+coefficients of nrd(x)/nrd(I) on I.  That key is a class invariant, because
+left multiplication by y maps I onto yI and scales nrd(x) and nrd(I) alike
+by nrd(y), so isomorphism is only tested between ideals with equal keys.
+The search stops when the classes found reach Eichler's mass, sum of
+1/|O_L(I)^x| = prod_{p | disc} (p - 1) / 24: the classes found are pairwise
+non-isomorphic and each missing class would add a positive term, so the set
+is then complete.
 
 Lattice products run on the integer rows of Lattice (den, rows).  With
 a = an/ad and b = bn/bd, ad bd times the product of two integer quaternions
@@ -40,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
 from .linalg import Lattice, int_rows, mat_det, mat_inv, mat_mul, solve_mod_lattice
 from .numtheory import (
@@ -125,20 +133,20 @@ def _constrained_lattice(bound: Lattice, conditions) -> Lattice:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric exact-rational Gram matrix of a quadratic form."""
+    """Symmetric Gram matrix G = ints / den of a quadratic form.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints is an integer matrix and den > 0; numerator(v) = v ints v^T is the
+    integer that callers compare, value(v) = numerator(v) / den.
+    """
+
+    ints: tuple[tuple[int, ...], ...]
+    den: int
 
     def __post_init__(self):
-        n = len(self.entries)
-        assert all(len(r) == n for r in self.entries)
-        assert all(self.entries[i][j] == self.entries[j][i]
-                   for i in range(n) for j in range(n))
-        # G = ints / den, so that value() sums integers
-        den = lcm(*(x.denominator for r in self.entries for x in r))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_ints", tuple(
-            tuple(int(x * den) for x in r) for r in self.entries))
+        n = len(self.ints)
+        assert self.den > 0 and all(len(r) == n for r in self.ints)
+        assert all(self.ints[i][j] == self.ints[j][i]
+                   for i in range(n) for j in range(i))
 
     @classmethod
     def from_nrd(cls, alg: QuaternionAlgebra, rows, den: int = 1) -> "GramMatrix":
@@ -151,74 +159,149 @@ class GramMatrix:
         c, ca, cb, cab = _structure_constants(alg)
         w = (c, -ca, -cb, cab)
         scaled = [[wk * x for wk, x in zip(w, r)] for r in rows]
+        n = len(rows)
+        ints = [[0] * n for _ in range(n)]
+        for s in range(n):
+            for t in range(s, n):
+                ints[s][t] = ints[t][s] = sum(
+                    x * y for x, y in zip(scaled[s], rows[t]))
         d = den * den * c
-        return cls(tuple(tuple(Fraction(sum(x * y for x, y in zip(p, q)), d)
-                               for q in rows) for p in scaled))
+        # lowest terms, so that the LLL and the descent see small integers
+        g = gcd(d, *(x for r in ints for x in r))
+        return cls(tuple(tuple(x // g for x in r) for r in ints), d // g)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.ints)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.ints)
+
+    @cached_property
+    def _reduction(self):
+        return _lll(self.ints)
+
+    def numerator(self, v) -> int:
+        """v G v^T times den."""
+        return sum(x * sum(a * y for a, y in zip(row, v))
+                   for x, row in zip(v, self.ints))
 
     def value(self, v) -> Fraction:
-        return Fraction(sum(x * sum(a * y for a, y in zip(row, v))
-                            for x, row in zip(v, self._ints)), self._den)
+        return Fraction(self.numerator(v), self.den)
 
 
-def _ldl(g):
-    """G = U^T diag(d) U with unit upper-triangular U; fails unless G is PD."""
-    n = len(g)
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        dv = g[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
-        if dv <= 0:
-            raise ValueError("matrix is not positive definite")
-        d[i] = dv
-        u[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j]
-                                     for k in range(i))) / dv
-    return d, u
+def _lll(a):
+    """Integral LLL with delta = 3/4 on a positive definite integer Gram a.
+
+    Cohen, GTM 138, Alg. 2.6.7 (after Lenstra-Lenstra-Lovasz 1982).  Returns
+    (h, d, lam): h is unimodular and its rows are the reduced basis in the
+    coordinates of a; d[k] is the leading k x k minor of h a h^T (d[0] = 1);
+    for j < k, lam[k][j] = d[j + 1] mu_kj, where mu_kj are the Gram-Schmidt
+    coefficients of h a h^T.  Then d[l + 1] / d[l] is the squared length of
+    the l-th Gram-Schmidt vector, and every number here is an integer.  Only
+    the rows of h change: row k's products with the other rows are read off
+    a and h, because row k is still the k-th unit vector when Gram-Schmidt
+    first reaches it.  Raises ValueError once some d[k] <= 0.
+    """
+    n = len(a)
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(a[k], h[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise ValueError("matrix is not positive definite")
+            else:
+                d[k + 1] = u
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k, top):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, top + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    gram_schmidt(0)
+    k, top = 1, 0
+    while k < n:
+        if k > top:
+            top = k
+            gram_schmidt(k)
+        size_reduce(k, k - 1)
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * m * m:
+            swap(k, top)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return h, d, lam
 
 
 def short_vectors(g: GramMatrix, bound) -> list[tuple[int, ...]]:
-    """All nonzero integer v with v G v^T <= bound, in a fixed deterministic order.
+    """All nonzero integer v with v G v^T <= bound, sorted by v[::-1].
 
-    Exact Fincke-Pohst enumeration on the LDL decomposition
-    G = U^T diag(d) U, run on integers.  Over common denominators
-    d_l = e_l / L and U_lj = N_lj / M, so v G v^T = sum_l e_l (M v_l + C_l)^2
-    / (L M^2) with C_l = sum_{j>l} N_lj v_j.  Level l takes every v_l with
-    |M v_l + C_l| <= isqrt(R // e_l), where R starts at floor(bound L M^2) and
-    drops by e_l (M v_l + C_l)^2 per level.  Rejects indefinite (or
-    semidefinite) input.
+    Exact Fincke-Pohst enumeration, run on integers in the coordinates x of
+    the LLL-reduced basis h of _lll: with T_l = d[l+1] x_l + sum_{j>l}
+    lam[j][l] x_j, den v G v^T = sum_l T_l^2 / (d[l] d[l+1]).  Over
+    W = lcm of the d[l] d[l+1], level l takes every x_l with
+    w_l T_l^2 <= R, w_l = W / (d[l] d[l+1]), where R starts at
+    floor(bound den W) and drops by w_l T_l^2 per level.  Each x maps back
+    to v = x h.  Rejects indefinite (or semidefinite) input.
     """
-    d, u = _ldl(g.entries)
+    h, d, lam = g._reduction
     n = g.n
-    den_d = lcm(*(x.denominator for x in d))
-    den_u = lcm(*(u[i][j].denominator for i in range(n) for j in range(i + 1, n)))
-    e = [int(x * den_d) for x in d]
-    tails = [[int(u[i][j] * den_u) for j in range(i + 1, n)] for i in range(n)]
-    start = Fraction(bound) * den_d * den_u * den_u
+    top = lcm(*(d[l] * d[l + 1] for l in range(n)))
+    weights = [top // (d[l] * d[l + 1]) for l in range(n)]
+    tails = [[lam[j][l] for j in range(l + 1, n)] for l in range(n)]
+    start = Fraction(bound) * g.den * top
     out = []
     coords = [0] * n
 
-    def descend(level: int, remaining: int):
+    def descend(level: int, remaining: int, partial):
         c = sum(t * x for t, x in zip(tails[level], coords[level + 1:]))
-        s = isqrt(remaining // e[level])
-        xs = range(-((s + c) // den_u), (s - c) // den_u + 1)
+        s = isqrt(remaining // weights[level])
+        m = d[level + 1]
+        xs = range(-((s + c) // m), (s - c) // m + 1)
+        row = h[level]
         if level == 0:
             for x in xs:
-                coords[0] = x
-                if any(coords):
-                    out.append(tuple(coords))
+                v = tuple(p + x * r for p, r in zip(partial, row))
+                if any(v):
+                    out.append(v)
         else:
             for x in xs:
                 coords[level] = x
-                t = den_u * x + c
-                descend(level - 1, remaining - e[level] * t * t)
+                t = m * x + c
+                descend(level - 1, remaining - weights[level] * t * t,
+                        [p + x * r for p, r in zip(partial, row)])
         coords[level] = 0
 
-    descend(n - 1, start.numerator // start.denominator)
+    if start >= 0:
+        descend(n - 1, start.numerator // start.denominator, [0] * n)
+    out.sort(key=lambda v: v[::-1])
     return out
 
 
@@ -410,7 +493,7 @@ def _radical(o: QuatOrder, q: int) -> Lattice:
     base = o.lattice
     kernel = solve_mod_lattice(o.trace_form, q)
     gram = o.nrd_gram()
-    norms = [[int(gram.value(k))] for k in kernel]
+    norms = [[gram.numerator(k) // gram.den] for k in kernel]
     rows = [_combine(k, base.rows) for k in kernel]
     return Lattice.from_ints(base.den, [_combine(z, rows)
                                         for z in solve_mod_lattice(norms, q)])
@@ -427,11 +510,12 @@ def _zero_divisor_lattices(o: QuatOrder, q: int):
     """
     base = o.lattice
     gram = o.nrd_gram()
+    modulus = q * gram.den
     seen = set()
     for lead in (3, 2, 1, 0):
         for tail in product(range(q), repeat=3 - lead):
             c = (0,) * lead + (1,) + tail
-            if gram.value(c) % q:
+            if gram.numerator(c) % modulus:
                 continue
             den, rows = _mul_rows(o.algebra, base.den, [_combine(c, base.rows)],
                                   base.den, base.rows)
@@ -593,9 +677,10 @@ def isomorphic_ideals(i: RightIdeal, j: RightIdeal) -> IsoResult:
     c = Lattice.from_ints(*_mul_rows(alg, jl.den, jl.rows,
                                      il.den, _conj_rows(il.rows)))
     gram = GramMatrix.from_nrd(alg, c.rows, c.den)
+    goal = target * gram.den
     n, m = i.nrd.numerator, i.nrd.denominator
     for v in short_vectors(gram, target):
-        if gram.value(v) != target:
+        if gram.numerator(v) != goal:
             continue
         # x = y / nrd(I) with y = sum v_s c_s, as an integer row over dx
         x = [m * t for t in _combine(v, c.rows)]
@@ -607,14 +692,15 @@ def isomorphic_ideals(i: RightIdeal, j: RightIdeal) -> IsoResult:
 
 
 def reduce_ideal(i: RightIdeal) -> RightIdeal:
-    """Isomorphic ideal of small norm: apply conj(y)/nrd(I) for a shortest y."""
+    """Isomorphic ideal of small norm: apply conj(y)/nrd(I) for a shortest y.
+
+    The first LLL basis vector is in I, so its norm d[1] / den bounds the
+    minimum and one enumeration finds every shortest y.
+    """
     gram = i.nrd_gram()
-    bound = i.nrd
-    vectors = []
-    while not vectors:
-        vectors = short_vectors(gram, bound)
-        bound *= 2
-    best = min(vectors, key=lambda v: (gram.value(v), v))
+    first = gram._reduction[1][1]
+    vectors = short_vectors(gram, Fraction(first, gram.den))
+    best = min(vectors, key=lambda v: (gram.numerator(v), v))
     lat = i.lattice
     # x = conj(y) / nrd(I) with y = sum best_s b_s, as an integer row over dx
     n, m = i.nrd.numerator, i.nrd.denominator
@@ -636,9 +722,12 @@ def _theta_key(i: RightIdeal) -> tuple[int, ...]:
     nrd(x) and nrd(I) by nrd(y).
     """
     gram = i.nrd_gram()
+    # nrd(x)/nrd(I) = numerator(v) m / (den n) for nrd(I) = n/m
+    n, m = i.nrd.numerator, i.nrd.denominator
+    unit = gram.den * n
     counts = [0] * THETA_TERMS
     for v in short_vectors(gram, THETA_TERMS * i.nrd):
-        counts[int(gram.value(v) / i.nrd) - 1] += 1
+        counts[gram.numerator(v) * m // unit - 1] += 1
     return tuple(counts)
 
 

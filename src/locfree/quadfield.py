@@ -246,13 +246,6 @@ class QuadIdeal:
     def scale(self, r) -> "QuadIdeal":
         return QuadIdeal(self.field, self.lattice.scale(Fraction(r)))
 
-    def conj_ideal(self) -> "QuadIdeal":
-        rows = []
-        for g in self.basis_elements():
-            c = g.conj()
-            rows.append((c.x, c.y))
-        return QuadIdeal(self.field, Lattice(rows))
-
     def to_json(self) -> dict:
         return {
             "disc": str(self.field.disc),
@@ -282,9 +275,6 @@ class BinaryForm:
 
     def inverse_form(self) -> "BinaryForm":
         return BinaryForm(self.a, -self.b, self.c)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
 
 def principal_form(D: int) -> BinaryForm:

@@ -67,10 +67,6 @@ class QuaternionAlgebra:
         return d
 
     @property
-    def is_division(self) -> bool:
-        return bool(self.ramified)
-
-    @property
     def is_definite(self) -> bool:
         return any(v.kind == "real" for v in self.ramified)
 
@@ -232,13 +228,6 @@ class QuatMatrix:
             tuple(reduce(lambda s, k: s + self.entries[r][k] * other.entries[k][c],
                          range(self.n), zero) for c in range(self.n))
             for r in range(self.n)))
-
-    def row_op(self, dst: int, src: int, factor: Quaternion) -> "QuatMatrix":
-        """Add factor * (row src) to row dst; an elementary transformation."""
-        assert dst != src
-        rows = [list(r) for r in self.entries]
-        rows[dst] = [rows[dst][c] + factor * rows[src][c] for c in range(self.n)]
-        return QuatMatrix(self.algebra, tuple(tuple(r) for r in rows))
 
 
 def embed_phi_r(x: QuatMatrix, r: int) -> QuatMatrix:

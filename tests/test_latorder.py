@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locfree import latorder
 from locfree.latorder import (
@@ -102,6 +104,12 @@ def hnf_sublattices(index):
             yield h
 
 
+def rational_gram(entries):
+    """The GramMatrix with these rational entries, over their common denominator."""
+    den = lcm(*(Fraction(x).denominator for r in entries for x in r))
+    return GramMatrix(tuple(tuple(int(x * den) for x in r) for r in entries), den)
+
+
 def test_short_vectors_against_box_enumeration():
     rng = random.Random(51)
     for _ in range(30):
@@ -112,7 +120,7 @@ def test_short_vectors_against_box_enumeration():
         g = [[Fraction(sum(a[k][i] * a[k][j] for k in range(n))
                        + (m if i == j else 0)) for j in range(n)]
              for i in range(n)]
-        gram = GramMatrix(tuple(tuple(r) for r in g))
+        gram = rational_gram(g)
         bound = rng.randrange(1, 20)
         got = sorted(short_vectors(gram, bound))
         r = isqrt(bound // m)
@@ -175,7 +183,7 @@ def test_short_vectors_rational_grams_against_box_and_fraction_descent():
         g = [[sum(w[k] * a[k][i] * a[k][j] for k in range(n))
               + Fraction(m if i == j else 0, den) for j in range(n)]
              for i in range(n)]
-        gram = GramMatrix(tuple(tuple(r) for r in g))
+        gram = rational_gram(g)
         bound = (Fraction(0) if trial % 10 == 0
                  else Fraction(rng.randrange(1, 25), rng.randrange(1, 7)))
         got = short_vectors(gram, bound)
@@ -191,10 +199,104 @@ def test_short_vectors_rational_grams_against_box_and_fraction_descent():
         assert all(gram.value(v) <= bound for v in got)
 
 
+def _int_det(m):
+    """Determinant by Fraction elimination, for the LLL checks."""
+    m = [[Fraction(x) for x in r] for r in m]
+    n, det = len(m), Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def _assert_lll_reduced(a, reduction):
+    """h a h^T is size-reduced and Lovasz with delta = 3/4, by its own
+    Fraction Gram-Schmidt, and d, lam are its minors and scaled mu."""
+    h, d, lam = reduction
+    n = len(a)
+    assert abs(_int_det(h)) == 1
+    r = [[Fraction(sum(h[i][s] * a[s][t] * h[j][t]
+                       for s in range(n) for t in range(n)))
+          for j in range(n)] for i in range(n)]
+    b = [Fraction(0)] * n
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (r[i][j] - sum(mu[j][k] * mu[i][k] * b[k]
+                                      for k in range(j))) / b[j]
+        b[i] = r[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i))
+    minor = Fraction(1)
+    for i in range(n):
+        minor *= b[i]
+        assert d[i + 1] == minor
+        for j in range(i):
+            assert abs(mu[i][j]) <= Fraction(1, 2)
+            assert lam[i][j] == d[j + 1] * mu[i][j]
+        if i:
+            assert b[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * b[i - 1]
+
+
+@st.composite
+def skewed_grams(draw):
+    """(G, U, U^-1, bound): G = A^T A + m I, U unimodular with entries up to 1000."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    m = draw(st.integers(1, 3))
+    g = [[sum(a[k][i] * a[k][j] for k in range(n)) + (m if i == j else 0)
+          for j in range(n)] for i in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    uinv = [list(r) for r in u]
+    for _ in range(draw(st.integers(2, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-40, 40))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+            for r in uinv:
+                r[i] = -r[i]
+            continue
+        row = [x + c * y for x, y in zip(u[i], u[j])]
+        if max(map(abs, row)) > 1000:
+            continue  # the Fraction descent on U G U^T slows down past here
+        # U <- (1 + c e_ij) U, so U^-1 <- U^-1 (1 - c e_ij)
+        u[i] = row
+        for r in uinv:
+            r[j] -= c * r[i]
+    return g, u, uinv, draw(st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=skewed_grams())
+def test_lll_and_short_vectors_on_skewed_grams(case):
+    g, u, uinv, bound = case
+    n = len(g)
+    skewed = [[sum(u[i][s] * g[s][t] * u[j][t] for s in range(n) for t in range(n))
+               for j in range(n)] for i in range(n)]
+    _assert_lll_reduced(skewed, latorder._lll(skewed))
+    gram = rational_gram(skewed)
+    got = short_vectors(gram, bound)
+    assert got == _fraction_short_vectors(
+        [[Fraction(x) for x in r] for r in skewed], bound)
+    # w G w^T <= bound with w = v U, so v = w U^-1; G >= m I bounds the box
+    r = isqrt(bound)
+    box = [w for w in itertools.product(range(-r, r + 1), repeat=n)
+           if any(w) and sum(g[i][j] * w[i] * w[j]
+                             for i in range(n) for j in range(n)) <= bound]
+    assert sorted(got) == sorted(vec_times(w, uinv) for w in box)
+
+
 def test_short_vectors_rejects_indefinite():
-    gram = GramMatrix(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))))
-    with pytest.raises(ValueError):
-        short_vectors(gram, 4)
+    for g in (((1, 0), (0, -1)), ((1, 1), (1, 1)), ((2, 1, 0), (1, 1, 1), (0, 1, 1))):
+        with pytest.raises(ValueError):
+            short_vectors(rational_gram(g), 4)
 
 
 # integral and rational (a, b), so that every structure constant differs
@@ -547,8 +649,8 @@ def test_classes_pairwise_non_isomorphic(class_sets_under_100):
 
 
 def test_theta_key_is_a_class_invariant(class_sets_under_100):
-    # x ranges over small elements of O, times 1, 1/2 or 1/3: the short-vector
-    # search on the HNF basis of xI slows down quickly as nrd(x) grows.
+    # x has coefficients up to 20 on O and a denominator up to 6, so the HNF
+    # basis of xI is skewed; the search runs on its LLL reduction.
     rng = random.Random(54)
     for p in (11, 37, 101):
         o = maximal_order(b_p_infinity(p))
@@ -558,8 +660,8 @@ def test_theta_key_is_a_class_invariant(class_sets_under_100):
             key = _theta_key(i)
             assert sum(key) > 0
             for _ in range(2):
-                c = [rng.randrange(-1, 2) for _ in range(4)]
-                d = rng.randrange(1, 4)
+                c = [rng.randrange(-20, 21) for _ in range(4)]
+                d = rng.randrange(1, 7)
                 x = o.algebra.quaternion(*(Fraction(t, d)
                                            for t in vec_times(c, o.lattice.basis())))
                 if x.is_zero():
@@ -567,6 +669,8 @@ def test_theta_key_is_a_class_invariant(class_sets_under_100):
                 moved = RightIdeal(o, Lattice([(x * b).coords
                                                for b in i.basis_quaternions()]))
                 assert moved.nrd == i.nrd * x.nrd()
+                gram = moved.nrd_gram()
+                _assert_lll_reduced(gram.ints, latorder._lll(gram.ints))
                 assert _theta_key(moved) == key
 
 
