@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .latorder import (
     RightIdeal,
@@ -21,6 +22,7 @@ from .latorder import (
     right_ideals_of_norm,
 )
 from .lfcg import (
+    CANCEL_RANGE_LIMIT,
     MaximalOrderDescriptor,
     QuaternionFactor,
     cancellation_table,
@@ -293,7 +295,9 @@ def _cmd_lfcg_stable(ns) -> int:
 # parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object")
 
@@ -368,7 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_spec_args(s)
     s.set_defaults(handler=_cmd_lfcg_eichler)
     s = lfsub.add_parser("cancel", parents=[common])
-    s.add_argument("--range", type=_parse_range, required=True, metavar="A..B")
+    s.add_argument("--range", type=_parse_range, required=True, metavar="A..B",
+                   help=f"the integers A..B, at most {CANCEL_RANGE_LIMIT} of them "
+                   "(B - A + 1); a wider range exits 1")
     s.set_defaults(handler=_cmd_lfcg_cancel)
     s = lfsub.add_parser("stable", parents=[common])
     s.add_argument("--bpinf", type=int, required=True)

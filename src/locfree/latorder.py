@@ -2,8 +2,9 @@
 
 Orders are full rank-4 lattices in coordinates (1, i, j, k) that contain 1 and
 are closed under multiplication; the reduced discriminant d satisfies
-det(trd(e_i e_j)) = +-d^2 on any basis.  Maximal orders of the algebras that
-b_p_infinity returns come from closed-form bases (Pizer, J. Algebra 64, 1980);
+det(trd(e_i e_j)) = +-d^2 on any basis, an integer determinant whose root is
+an isqrt.  Maximal orders of the algebras that b_p_infinity returns come from
+closed-form integer rows over one denominator (Pizer, J. Algebra 64, 1980);
 every other algebra gets one by saturating an obvious starting order prime by
 prime: first the radical-idealizer step, then, where that stalls at a split
 prime, the idealizers of the lattices xO + qO for zero divisors x mod q.
@@ -327,10 +328,10 @@ class QuatOrder:
         det = mat_det(self.trace_form)
         assert det != 0
         self.disc_sign = 1 if det > 0 else -1
-        root = sqrt_fraction(abs(det))
-        assert root is not None and root.denominator == 1, \
+        root = isqrt(abs(det))
+        assert root * root == abs(det), \
             "trace pairing determinant must be a perfect square"
-        self.reduced_disc = int(root)
+        self.reduced_disc = root
 
     @property
     def is_maximal(self) -> bool:
@@ -574,7 +575,7 @@ def _is_certified_prime(n: int) -> bool:
 
 
 def _closed_form_generators(b: QuaternionAlgebra):
-    """Generators, in coordinates (1, i, j, k), of a maximal order of b.
+    """(den, integer rows) generating a maximal order of b, in (1, i, j, k).
 
     Known for the presentations that b_p_infinity returns (Pizer 1980); None
     for any other algebra.  In the (-q,-p) case c is the smallest c in [0, q)
@@ -582,24 +583,23 @@ def _closed_form_generators(b: QuaternionAlgebra):
     """
     if b.a.denominator != 1 or b.b.denominator != 1:
         return None
-    a, p = int(b.a), -int(b.b)
-    h, f = Fraction(1, 2), Fraction(1, 4)
+    a, p = b.a.numerator, -b.b.numerator
     if a == -1 and p == 1:
-        return [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (h, h, h, h)]
+        return 2, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)]
     if not _is_certified_prime(p):
         return None
     if a == -1 and p % 4 == 3:
-        return [(1, 0, 0, 0), (0, 1, 0, 0), (h, 0, h, 0), (0, h, 0, h)]
+        return 2, [(2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
     if a == -2 and p % 8 == 5:
-        return [(1, 0, 0, 0), (h, 0, h, h), (0, f, h, f), (0, 0, 0, 1)]
+        return 4, [(4, 0, 0, 0), (2, 0, 2, 2), (0, 1, 2, 1), (0, 0, 0, 4)]
     q = -a
     if (p % 8 == 1 and q % 4 == 3 and _is_certified_prime(q)
             and kronecker(p, q) == -1):
         # -1/p is a square mod q, and q = 3 mod 4 gives its roots directly
         r = pow(-pow(p, -1, q), (q + 1) // 4, q)
         c = min(r, q - r)
-        return [(1, 0, 0, 0), (h, h, 0, 0), (0, 0, h, h),
-                (0, Fraction(1, q), 0, Fraction(c, q)), (0, 0, 0, 1)]
+        return 2 * q, [(2 * q, 0, 0, 0), (q, q, 0, 0), (0, 0, q, q),
+                       (0, 2, 0, 2 * c), (0, 0, 0, 2 * q)]
     return None
 
 
@@ -617,7 +617,7 @@ def maximal_order(b: QuaternionAlgebra) -> QuatOrder:
         return cached
     target = b.reduced_disc
     gens = _closed_form_generators(b)
-    o = QuatOrder(b, Lattice(gens)) if gens is not None else None
+    o = QuatOrder(b, Lattice.from_ints(*gens)) if gens is not None else None
     if o is None or o.reduced_disc != target:
         o = _saturated_order(b)
     assert o.reduced_disc == target, "maximal order verification failed"
@@ -794,8 +794,7 @@ def eichler_class_number(p: int) -> int:
     """Class number of a maximal order in the algebra ramified at {p, inf}."""
     if not is_prime(p):
         raise ValueError("argument must be prime")
-    h = (Fraction(p - 1, 12)
-         + Fraction(1, 3) * (1 - kronecker(-3, p))
-         + Fraction(1, 4) * (1 - kronecker(-4, p)))
-    assert h.denominator == 1, "class number formula must be integral"
-    return int(h)
+    # 12 h = (p - 1) + 4 (1 - (-3/p)) + 3 (1 - (-4/p))
+    twelve_h = p - 1 + 4 * (1 - kronecker(-3, p)) + 3 * (1 - kronecker(-4, p))
+    assert twelve_h % 12 == 0, "class number formula must be integral"
+    return twelve_h // 12

@@ -2,7 +2,9 @@
 
 Matrices are tuples of tuples (rows).  Everything is exact; floats never
 appear.  Dimensions stay tiny (at most 6 for field matrices, 4 for lattices),
-so the algorithms favour clarity over asymptotics.
+so the algorithms favour clarity over asymptotics.  mat_det is the only
+determinant: Bareiss elimination on integer rows, with rational rows scaled
+to integers first, so an integer matrix never meets a Fraction.
 """
 
 from __future__ import annotations
@@ -20,26 +22,42 @@ def mat_mul(a, b) -> tuple:
     )
 
 
-def mat_det(a) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
-    n = len(a)
-    m = [list(row) for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / Fraction(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+def mat_det(a):
+    """Determinant by Bareiss's fraction-free elimination (Cohen, GTM 138, §2.2).
+
+    Each rational row is scaled by the lcm of its denominators, the integer
+    determinant is taken with exact divisions by the previous pivot, and the
+    scale is divided back out.  Integer input builds no Fraction and gives an
+    int; any other input gives a Fraction.
+    """
+    m, scale, rational = [], 1, False
+    for row in a:
+        if all(type(x) is int for x in row):
+            m.append(list(row))
+            continue
+        rational = True
+        row = [Fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        scale *= d
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return Fraction(0) if rational else 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk, mk = m[k][k], m[k]
+        for r in range(k + 1, n):
+            mr = m[r]
+            f = mr[k]
+            for c in range(k + 1, n):
+                mr[c] = (pk * mr[c] - f * mk[c]) // prev
+        prev = pk
+    det = sign * m[n - 1][n - 1] if n else 1
+    return Fraction(det, scale) if rational else det
 
 
 def mat_inv(a) -> tuple:

@@ -3,7 +3,10 @@
 All routines are deterministic.  Primality testing is a fixed-witness
 Miller-Rabin that is provably correct below PRIMALITY_BOUND and refuses to
 answer above it; factorization is trial division up to 10**6 followed by
-Brent's rho with a fixed parameter schedule.
+Brent's rho with a fixed parameter schedule.  The Hilbert symbol at a
+finite prime runs on the four integers an, ad, bn, bd of a = an/ad and
+b = bn/bd: valuations by stripping p, unit residues from the products
+an ad and bn bd; the symbol at the real place is the sign test.
 """
 
 from __future__ import annotations
@@ -153,20 +156,21 @@ def factor(n: int) -> Factorization:
     return Factorization(value, sign, tuple(sorted(fac.items())))
 
 
+def _split_power(n: int, p: int) -> tuple[int, int]:
+    """(v, m) with n = p**v * m and p not dividing m, for nonzero n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def valuation(x, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero is undefined")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _split_power(x.numerator, p)[0] - _split_power(x.denominator, p)[0]
 
 
 def legendre(a: int, p: int) -> int:
@@ -249,9 +253,35 @@ class Place:
         return (0, self.prime) if self.kind == "finite" else (1, self.index)
 
 
-def _unit_legendre(x: Fraction, p: int) -> int:
-    # Legendre symbol of a p-adic unit given as a rational
-    return legendre(x.numerator * x.denominator, p)
+def finite_hilbert_symbol(an: int, ad: int, bn: int, bd: int, p: int) -> int:
+    """(a, b)_p for a = an/ad and b = bn/bd nonzero and p prime, on integers.
+
+    Strip p from each of the four integers; the units of a and b are then
+    an ad and bn bd up to squares of p-adic units, so their residues (mod 8
+    at 2, Legendre symbols at odd p) come from those products.
+    """
+    va, an = _split_power(an, p)
+    vad, ad = _split_power(ad, p)
+    vb, bn = _split_power(bn, p)
+    vbd, bd = _split_power(bd, p)
+    alpha, beta = va - vad, vb - vbd
+    u, w = an * ad, bn * bd
+    if p == 2:
+        # units mod 8 decide everything at 2
+        um, wm = u % 8, w % 8
+        eps_u, eps_w = (um - 1) // 2 % 2, (wm - 1) // 2 % 2
+        om_u, om_w = (um * um - 1) // 8 % 2, (wm * wm - 1) // 8 % 2
+        exp = eps_u * eps_w + alpha * om_w + beta * om_u
+        return -1 if exp % 2 else 1
+    half = (p - 1) // 2
+    sym = 1
+    if alpha % 2 and beta % 2 and half % 2:
+        sym = -sym
+    if beta % 2 and pow(u % p, half, p) != 1:
+        sym = -sym
+    if alpha % 2 and pow(w % p, half, p) != 1:
+        sym = -sym
+    return sym
 
 
 def hilbert_symbol(a, b, place: Place) -> int:
@@ -263,26 +293,8 @@ def hilbert_symbol(a, b, place: Place) -> int:
         return 1
     if place.kind == "real":
         return -1 if a < 0 and b < 0 else 1
-    p = place.prime
-    alpha, beta = valuation(a, p), valuation(b, p)
-    u = a / Fraction(p) ** alpha
-    w = b / Fraction(p) ** beta
-    if p == 2:
-        # units mod 8 decide everything at 2
-        um = u.numerator * u.denominator % 8
-        wm = w.numerator * w.denominator % 8
-        eps_u, eps_w = (um - 1) // 2 % 2, (wm - 1) // 2 % 2
-        om_u, om_w = (um * um - 1) // 8 % 2, (wm * wm - 1) // 8 % 2
-        exp = eps_u * eps_w + alpha * om_w + beta * om_u
-        return -1 if exp % 2 else 1
-    sym = 1
-    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
-        sym = -sym
-    if beta % 2:
-        sym *= _unit_legendre(u, p)
-    if alpha % 2:
-        sym *= _unit_legendre(w, p)
-    return sym
+    return finite_hilbert_symbol(a.numerator, a.denominator,
+                                 b.numerator, b.denominator, place.prime)
 
 
 def sqrt_fraction(x: Fraction) -> Fraction | None:

@@ -14,7 +14,8 @@ from functools import cached_property, reduce
 
 from .linalg import mat_det
 from .numtheory import (
-    Place, factor, fraction_str, hilbert_symbol, is_prime, primes, sqrt_fraction,
+    Place, factor, finite_hilbert_symbol, fraction_str, hilbert_symbol, is_prime, primes,
+    sqrt_fraction,
 )
 
 __all__ = [
@@ -25,17 +26,20 @@ __all__ = [
 
 
 def ramified_places(a, b) -> frozenset[Place]:
-    """Places of Q where (a,b) is a division algebra: hilbert_symbol = -1."""
+    """Places of Q where (a,b) is a division algebra: hilbert_symbol = -1.
+
+    The finite symbols run on the integers an, ad, bn, bd at 2 and at every
+    prime dividing one of them; a Place is built only for a ramified prime.
+    """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("quaternion algebra requires nonzero parameters")
+    ints = (a.numerator, a.denominator, b.numerator, b.denominator)
     candidates = {2}
-    for q in (a, b):
-        for n in (q.numerator, q.denominator):
-            for p, _ in factor(n).factors:
-                candidates.add(p)
+    for n in ints:
+        candidates.update(p for p, _ in factor(n).factors)
     out = [Place.finite(p) for p in sorted(candidates)
-           if hilbert_symbol(a, b, Place.finite(p)) == -1]
+           if finite_hilbert_symbol(*ints, p) == -1]
     if hilbert_symbol(a, b, Place.real()) == -1:
         out.append(Place.real())
     return frozenset(out)

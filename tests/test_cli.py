@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from locfree.cli import run
+from locfree.cli import _build_parser, run
 from locfree.latorder import maximal_order
+from locfree.lfcg import CANCEL_RANGE_LIMIT
+from locfree.numtheory import PRIMALITY_BOUND
 from locfree.quatalg import QuaternionAlgebra
 from test_latorder import _closed_superlattice_lines
 
@@ -96,6 +98,7 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         ["order", "disc", "10"],               # not prime
         ["lfcg", "stable", "--bpinf", "11", "--norm", "11"],  # ramified norm
         ["lfcg", "cancel", "--range", "9..2"],
+        ["lfcg", "cancel", "--range", f"2..{CANCEL_RANGE_LIMIT + 2}"],  # one too wide
         ["symbol", "hilbert", "1", "1", "--place", "x"],
         ["lfcg", "swan", "--spec", "/nonexistent/algebra.json"],
     ]:
@@ -120,6 +123,72 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = invoke(capsys, argv)
         assert code == 2, argv
         assert "Traceback" not in err
+
+
+def test_one_parser_serves_every_query(capsys):
+    """The cached parser gives the same bytes and exit codes on a second pass
+    after a usage error and a domain error."""
+    queries = (
+        ["lfcg", "cancel", "--range", "2..x"],         # usage error
+        ["lfcg", "cancel", "--range", "9..2"],         # domain error
+        ["lfcg", "cancel", "--json", "--range", "2..30"],
+    )
+    passes = [[invoke(capsys, argv) for argv in queries] for _ in range(2)]
+    assert [code for code, _, _ in passes[0]] == [2, 1, 0]
+    assert passes[0] == passes[1]
+    assert _build_parser() is _build_parser()
+
+
+def sieve_primes(lo, hi):
+    flags = [True] * (hi + 1)
+    for n in range(2, hi + 1):
+        if flags[n]:
+            for m in range(n * n, hi + 1, n):
+                flags[m] = False
+    return [n for n in range(max(lo, 2), hi + 1) if flags[n]]
+
+
+SMALL_RANGES = st.tuples(st.integers(-30, 700), st.integers(-30, 700))
+WIDE_RANGES = st.tuples(st.integers(-10**15, 10**15),
+                        st.integers(CANCEL_RANGE_LIMIT, 10**15)).map(
+                            lambda t: (t[0], t[0] + t[1]))
+HIGH_RANGES = st.tuples(st.integers(PRIMALITY_BOUND + 1, 10**16),
+                        st.integers(0, 50)).map(lambda t: (t[0], t[0] + t[1]))
+RANGE_TEXT = st.one_of(
+    st.one_of(SMALL_RANGES, WIDE_RANGES, HIGH_RANGES).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.text(alphabet="0123456789.-x ", max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=RANGE_TEXT, as_json=st.booleans())
+def test_cancel_range_property(text, as_json):
+    # the joined form lets argparse take a range that starts with "-"
+    argv = ["lfcg", "cancel"] + (["--json"] if as_json else []) + [f"--range={text}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    parts = text.split("..")
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+    except (ValueError, IndexError):
+        return
+    if len(parts) != 2:
+        return
+    if hi - lo + 1 > CANCEL_RANGE_LIMIT:
+        assert code == 1 and f"at most {CANCEL_RANGE_LIMIT}" in err.getvalue()
+    if code or hi > 700:
+        return
+    if as_json:
+        rows = [(int(r["p"]), r["cl"], r["holds"]) for r in json.loads(out.getvalue())["table"]]
+    else:
+        rows = [(int(f[0][2:]), f[2][3:], f[3] == "holds=true")
+                for f in (line.split() for line in out.getvalue().splitlines())]
+    assert [r[0] for r in rows] == sieve_primes(lo, hi)
+    assert all(cl == "1" for _, cl, _ in rows)
+    assert {p for p, _, holds in rows if holds} == {2, 3, 5, 7, 13} & set(range(lo, hi + 1))
 
 
 def count_reduced_definite_forms(D):

@@ -28,7 +28,7 @@ from locfree.latorder import (
     short_vectors,
 )
 from locfree.linalg import Lattice
-from locfree.numtheory import primes_below
+from locfree.numtheory import Place, kronecker, primes_below
 from locfree.quatalg import Quaternion, QuaternionAlgebra, b_p_infinity
 
 
@@ -476,6 +476,43 @@ def test_maximality_certificate():
         o = maximal_order(b_p_infinity(p))
         assert o.reduced_disc == p
         assert not _closed_superlattice_lines(o, p)
+
+
+def _fraction_closed_form_generators(b: QuaternionAlgebra):
+    """The closed-form table as Fraction generators (Pizer 1980), or None."""
+    if b.a.denominator != 1 or b.b.denominator != 1:
+        return None
+    a, p = int(b.a), -int(b.b)
+    h, f = Fraction(1, 2), Fraction(1, 4)
+    if a == -1 and p == 1:
+        return [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (h, h, h, h)]
+    if a == -1 and p % 4 == 3:
+        return [(1, 0, 0, 0), (0, 1, 0, 0), (h, 0, h, 0), (0, h, 0, h)]
+    if a == -2 and p % 8 == 5:
+        return [(1, 0, 0, 0), (h, 0, h, h), (0, f, h, f), (0, 0, 0, 1)]
+    q = -a
+    if p % 8 == 1 and q % 4 == 3 and pow(p, (q - 1) // 2, q) == q - 1:
+        c = next(c for c in range(q) if (c * c * p + 1) % q == 0)
+        return [(1, 0, 0, 0), (h, h, 0, 0), (0, 0, h, h),
+                (0, Fraction(1, q), 0, Fraction(c, q)), (0, 0, 0, 1)]
+    return None
+
+
+def test_closed_forms_match_the_fraction_table_below_5000():
+    """For every prime p < 5000, the integer rows span the lattice of the
+    Fraction table, maximal_order returns it, and B(p,inf) ramifies exactly
+    at {p, inf}; the integer 12 h agrees with the Fraction formula."""
+    for p in primes_below(5000):
+        b = b_p_infinity(p)
+        assert b.ramified == {Place.finite(p), Place.real()}
+        gens = _fraction_closed_form_generators(b)
+        assert gens is not None, p
+        lattice = Lattice(gens)
+        assert Lattice.from_ints(*_closed_form_generators(b)) == lattice
+        assert maximal_order(b).lattice == lattice
+        h = (Fraction(p - 1, 12) + Fraction(1, 3) * (1 - kronecker(-3, p))
+             + Fraction(1, 4) * (1 - kronecker(-4, p)))
+        assert eichler_class_number(p) == h
 
 
 def test_closed_form_orders_match_saturation():

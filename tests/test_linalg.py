@@ -52,6 +52,74 @@ def test_mat_det_matches_permanent_expansion():
             assert mat_det(a) == det_by_permutations(a)
 
 
+def _with_zero_pivot(rng, a, k):
+    """Make the leading k x k minor singular: row k-1 starts as a
+    combination of rows 0..k-2 (all zeros for k = 1), and the rest of the
+    row stays random, so elimination meets a zero pivot at step k-1."""
+    c = [rng.randrange(-2, 3) for _ in range(k - 1)]
+    for j in range(k):
+        a[k - 1][j] = sum(ci * a[i][j] for i, ci in enumerate(c))
+    return a
+
+
+def _singular(rng, a):
+    """Replace one row by a combination of the others."""
+    n = len(a)
+    r = rng.randrange(n)
+    c = [rng.randrange(-2, 3) for _ in range(n)]
+    a[r] = [sum(c[i] * a[i][j] for i in range(n) if i != r) for j in range(n)]
+    return a
+
+
+def _integer_matrices(rng, n):
+    for _ in range(6 if n < 6 else 3):
+        yield [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        for k in range(1, n):
+            yield _with_zero_pivot(
+                rng, [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)], k)
+        yield _singular(rng, [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)])
+    yield [[0] * n for _ in range(n)]
+
+
+def test_bareiss_det_on_integer_matrices(monkeypatch):
+    """Zero leading entries, zero pivots partway, singular matrices, n = 1..6;
+    integer input gives an int and builds no Fraction."""
+    rng = random.Random(17)
+    cases = [(n, a) for n in range(1, 7) for a in _integer_matrices(rng, n)]
+    expected = [det_by_permutations(a) for _, a in cases]
+    assert sum(e == 0 for e in expected) > 12 and sum(e != 0 for e in expected) > 60
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("integer determinant built a Fraction")
+
+    monkeypatch.setattr("locfree.linalg.Fraction", NoFraction)
+    for (n, a), e in zip(cases, expected):
+        det = mat_det(a)
+        assert type(det) is int and det.denominator == 1, (n, a)
+        assert det == e, (n, a)
+        assert mat_det(tuple(tuple(row) for row in a)) == e
+
+
+def test_bareiss_det_on_rational_rows():
+    """Rows scaled by their denominators' lcm, mixed with integer rows."""
+    rng = random.Random(18)
+    for n in range(1, 7):
+        for _ in range(8 if n < 6 else 4):
+            a = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.4 and n > 1:
+                _with_zero_pivot(rng, a, rng.randrange(1, n))
+            elif rng.random() < 0.2:
+                _singular(rng, a)
+            rational = rng.randrange(n)
+            rows = [[Fraction(x, rng.choice([1, 2, 3, 5, 7, 12])) for x in row]
+                    if i == rational or rng.random() < 0.6 else row
+                    for i, row in enumerate(a)]
+            det = mat_det(rows)
+            assert isinstance(det, Fraction)
+            assert det == det_by_permutations(rows)
+
+
 def test_mat_inv():
     rng = random.Random(12)
     for n in (2, 3, 4):

@@ -249,6 +249,41 @@ def test_hilbert_conic_agreement_small_grid():
                 assert hilbert_conic_agrees(aa, bb, p, k)
 
 
+def conic_symbol(a: int, b: int, p: int) -> int:
+    """(a, b)_p for nonzero integers by the conic search alone.
+
+    Even powers of p are stripped, which changes no square class.  Then a
+    primitive solution mod p (mod p^2 if a valuation is odd) decides odd p;
+    mod 2^5 is ample at 2, since the stripped valuations are 0 or 1.
+    """
+    def strip(n):
+        v = valuation(n, p)
+        return n // p ** (v - v % 2), v % 2
+
+    a, alpha = strip(a)
+    b, beta = strip(b)
+    k = 5 if p == 2 else 1 + (alpha or beta)
+    return 1 if solve_conic_mod(a, b, p, k) is not None else -1
+
+
+def test_rational_hilbert_symbols_match_the_conic_oracle():
+    """(an/ad, bn/bd)_p equals the conic value at (a ad^2, b bd^2) = (an ad, bn bd),
+    which lies in the same square classes."""
+    rng = random.Random(19)
+    primes_used = (2, 3, 5, 7, 11, 13)
+    minus = 0
+    for _ in range(400):
+        an = rng.choice([-1, 1]) * rng.randrange(1, 200)
+        bn = rng.choice([-1, 1]) * rng.randrange(1, 200)
+        ad, bd = rng.randrange(1, 100), rng.randrange(1, 100)
+        p = rng.choice(primes_used)
+        a, b = Fraction(an, ad), Fraction(bn, bd)
+        sym = hilbert_symbol(a, b, Place.finite(p))
+        assert sym == conic_symbol(an * ad, bn * bd, p), (a, b, p)
+        minus += sym == -1
+    assert minus > 40
+
+
 def test_sqrt_fraction():
     assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
     assert sqrt_fraction(Fraction(0)) == 0

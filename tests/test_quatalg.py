@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from locfree.numtheory import Place, hilbert_symbol, primes_below
+from locfree.numtheory import Place, factor, hilbert_symbol, legendre, primes_below
 from locfree.quatalg import (
     QuaternionAlgebra,
     QuatMatrix,
@@ -144,6 +144,74 @@ def test_ramified_places_even_and_match_hilbert():
             assert hilbert_symbol(a, b, v) == -1
         for v in places:
             assert (v in ram) == (hilbert_symbol(a, b, v) == -1)
+
+
+# --- the Fraction ramified places, kept as an oracle for the integer code ---
+
+
+def _fraction_valuation(x: Fraction, p: int) -> int:
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _fraction_hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
+    """(a, b)_p with the units a / p^alpha and b / p^beta built as Fractions."""
+    alpha, beta = _fraction_valuation(a, p), _fraction_valuation(b, p)
+    u = a / Fraction(p) ** alpha
+    w = b / Fraction(p) ** beta
+    if p == 2:
+        um = u.numerator * u.denominator % 8
+        wm = w.numerator * w.denominator % 8
+        eps_u, eps_w = (um - 1) // 2 % 2, (wm - 1) // 2 % 2
+        om_u, om_w = (um * um - 1) // 8 % 2, (wm * wm - 1) // 8 % 2
+        exp = eps_u * eps_w + alpha * om_w + beta * om_u
+        return -1 if exp % 2 else 1
+    sym = 1
+    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
+        sym = -sym
+    if beta % 2:
+        sym *= legendre(u.numerator * u.denominator, p)
+    if alpha % 2:
+        sym *= legendre(w.numerator * w.denominator, p)
+    return sym
+
+
+def _fraction_ramified_places(a, b) -> frozenset:
+    a, b = Fraction(a), Fraction(b)
+    candidates = {2}
+    for q in (a, b):
+        for n in (q.numerator, q.denominator):
+            for p, _ in factor(n).factors:
+                candidates.add(p)
+    out = [Place.finite(p) for p in sorted(candidates)
+           if _fraction_hilbert_symbol(a, b, p) == -1]
+    if a < 0 and b < 0:
+        out.append(Place.real())
+    return frozenset(out)
+
+
+def _rand_rational(rng):
+    n = rng.choice([-1, 1]) * rng.choice([rng.randrange(1, 60), rng.randrange(1, 10**6)])
+    return Fraction(n, rng.choice([1, 1, rng.randrange(1, 60), rng.randrange(1, 10**5)]))
+
+
+def test_ramified_places_match_the_fraction_oracle():
+    rng = random.Random(43)
+    sizes = set()
+    for _ in range(600):
+        a, b = _rand_rational(rng), _rand_rational(rng)
+        ram = ramified_places(a, b)
+        assert ram == _fraction_ramified_places(a, b), (a, b)
+        sizes.add(len(ram))
+        for p in (2, 3, 5, 7):
+            assert hilbert_symbol(a, b, Place.finite(p)) == _fraction_hilbert_symbol(a, b, p)
+    assert {0, 2, 4} <= sizes
 
 
 def test_ramified_places_spots():
