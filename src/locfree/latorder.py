@@ -461,9 +461,6 @@ def ideal_mul(i: RightIdeal, j: RightIdeal) -> RightIdeal:
 
 # --- maximal orders: closed forms, else prime-wise saturation ---
 
-_MAXIMAL_CACHE: dict[QuaternionAlgebra, QuatOrder] = {}
-
-
 def _starting_order(b: QuaternionAlgebra) -> QuatOrder:
     """Z<1, s i, t j, st k> with s = ad/fa and t = bd/fb.
 
@@ -612,16 +609,12 @@ def maximal_order(b: QuaternionAlgebra) -> QuatOrder:
     closed under multiplication and its reduced discriminant equals the
     product of the finite ramified primes of the algebra.
     """
-    cached = _MAXIMAL_CACHE.get(b)
-    if cached is not None:
-        return cached
     target = b.reduced_disc
     gens = _closed_form_generators(b)
     o = QuatOrder(b, Lattice.from_ints(*gens)) if gens is not None else None
     if o is None or o.reduced_disc != target:
         o = _saturated_order(b)
     assert o.reduced_disc == target, "maximal order verification failed"
-    _MAXIMAL_CACHE[b] = o
     return o
 
 

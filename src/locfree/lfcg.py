@@ -24,7 +24,7 @@ from .latorder import (
     maximal_order,
     short_vectors,
 )
-from .numtheory import factor, fraction_str, is_prime, valuation
+from .numtheory import factor, fraction_str, invariant_factors, is_prime, valuation
 from .quadfield import (
     RATIONALS,
     ClassGroup,
@@ -393,25 +393,6 @@ class RayFactorGroup:
         }
 
 
-def _merge_divisor_chains(chains) -> tuple:
-    """Invariant factors of a product of cyclic groups given by divisor chains."""
-    by_prime: dict[int, list[int]] = {}
-    for chain in chains:
-        for d in chain:
-            for p, e in factor(d).factors:
-                by_prime.setdefault(p, []).append(p**e)
-    if not by_prime:
-        return ()
-    for p in by_prime:
-        by_prime[p].sort(reverse=True)
-    width = max(len(v) for v in by_prime.values())
-    out = []
-    for i in range(width):
-        out.append(prod(v[i] for v in by_prime.values() if i < len(v)))
-    out.reverse()  # ascending chain d1 | d2 | ...
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class RayClassGroup:
     """Product of the per-factor ray class groups of a separable algebra."""
@@ -423,7 +404,7 @@ class RayClassGroup:
         return prod(f.order for f in self.factors)
 
     def elementary_divisors(self) -> tuple:
-        return _merge_divisor_chains([f.elementary_divisors() for f in self.factors])
+        return invariant_factors(d for f in self.factors for d in f.elementary_divisors())
 
     def identity(self) -> tuple:
         return tuple(f.identity() for f in self.factors)
@@ -622,8 +603,9 @@ def cancellation_check(p: int, verify: bool = False) -> CancellationVerdict:
 
 
 # The widest range cancellation_table accepts, in integers: 2..250000 takes
-# 5-10 s on a 2-CPU machine (Python 3.11).  Higher up each prime costs more,
-# because factoring it trial-divides up to min(sqrt(p), 10**6).
+# 5-10 s on a 2-CPU machine (Python 3.11).  Higher up a prime costs little
+# more: factor stops trial division at a certified prime cofactor, so a
+# prime near 10**12 takes about 1 ms.
 CANCEL_RANGE_LIMIT = 250_000
 
 

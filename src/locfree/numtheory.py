@@ -2,18 +2,20 @@
 
 All routines are deterministic.  Primality testing is a fixed-witness
 Miller-Rabin that is provably correct below PRIMALITY_BOUND and refuses to
-answer above it; factorization is trial division up to 10**6 followed by
-Brent's rho with a fixed parameter schedule.  The Hilbert symbol at a
-finite prime runs on the four integers an, ad, bn, bd of a = an/ad and
-b = bn/bd: valuations by stripping p, unit residues from the products
-an ad and bn bd; the symbol at the real place is the sign test.
+answer above it; factorization is trial division up to 10**6, cut short
+once the cofactor is a certified prime, followed by Brent's rho with a
+fixed parameter schedule.  The Hilbert symbol at a finite prime runs on the
+four integers an, ad, bn, bd of a = an/ad and b = bn/bd: valuations by
+stripping p, unit residues from the products an ad and bn bd; the symbol at
+the real place is the sign test.  invariant_factors assembles the chain
+d1 | d2 | ... of a finite abelian group from the orders of cyclic factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 # The witness set (2,3,5,7,11,13,17) is deterministic for n < 3.4e14; we stop
 # a little short of the published bound.
@@ -124,6 +126,11 @@ def _rho_split(n: int) -> int:
     raise ValueError(f"rho schedule exhausted on {n}")  # pragma: no cover
 
 
+def _large_prime(n: int) -> bool:
+    """Whether n is a prime above the trial bound that is_prime can certify."""
+    return _TRIAL_BOUND < n <= PRIMALITY_BOUND and is_prime(n)
+
+
 def factor(n: int) -> Factorization:
     """Factor a nonzero integer into primes."""
     if n == 0:
@@ -137,11 +144,15 @@ def factor(n: int) -> Factorization:
             fac[p] = fac.get(p, 0) + 1
             n //= p
     d = 5
-    while d <= _TRIAL_BOUND and d * d <= n:
+    # a prime cofactor above the trial bound ends the loop at once, not at 10**6
+    prime_left = _large_prime(n)
+    while not prime_left and d <= _TRIAL_BOUND and d * d <= n:
         for step in (d, d + 2):
-            while n % step == 0:
-                fac[step] = fac.get(step, 0) + 1
-                n //= step
+            if n % step == 0:
+                while n % step == 0:
+                    fac[step] = fac.get(step, 0) + 1
+                    n //= step
+                prime_left = _large_prime(n)
         d += 6
     stack = [n] if n > 1 else []
     while stack:
@@ -154,6 +165,23 @@ def factor(n: int) -> Factorization:
         g = _rho_split(m)
         stack.extend((g, m // g))
     return Factorization(value, sign, tuple(sorted(fac.items())))
+
+
+def invariant_factors(orders) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of Z/n1 x ... x Z/nm, for positive n.
+
+    Split each n into prime powers and sort each prime's powers largest
+    first; the j-th largest invariant factor is the product over the primes
+    of their j-th largest power.
+    """
+    by_prime: dict[int, list[int]] = {}
+    for n in orders:
+        for p, e in factor(n).factors:
+            by_prime.setdefault(p, []).append(p ** e)
+    chains = [sorted(v, reverse=True) for v in by_prime.values()]
+    width = max((len(v) for v in chains), default=0)
+    return tuple(prod(v[j] for v in chains if j < len(v))
+                 for j in reversed(range(width)))
 
 
 def _split_power(n: int, p: int) -> tuple[int, int]:

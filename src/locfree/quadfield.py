@@ -7,7 +7,9 @@ the wide group is the quotient of the narrow one by the class of (sqrt(d)).
 The group law is Dirichlet composition on the integer coefficients followed
 by reduction.  The classical ideal/form dictionary (a, b, c) <-> [a, (-b +
 sqrt(D))/2] is kept for the places where an ideal meets a form: the class of
-(sqrt(d)), `ideal_class` and `prime_ideals_above`.
+(sqrt(d)), `ideal_class` and `prime_ideals_above`.  The invariant factors
+are counted from the element orders, found by walking powers: sum(ord(g) - 1)
+compositions, none of them cached.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .linalg import Lattice
-from .numtheory import factor, fraction_str, kronecker
+from .numtheory import factor, fraction_str, invariant_factors, kronecker, valuation
 
 __all__ = [
     "QuadField", "RATIONALS", "QuadElt", "QuadIdeal", "BinaryForm",
@@ -533,7 +535,6 @@ class ClassGroup:
         assert g.a > 0
         return g
 
-    @lru_cache(maxsize=None)
     def _proper_compose(self, f: BinaryForm, g: BinaryForm) -> BinaryForm:
         if self.disc > 0:
             f, g = self._positive_in_cycle(f), self._positive_in_cycle(g)
@@ -551,16 +552,38 @@ class ClassGroup:
         return self._canonical(f.inverse_form())
 
     def element_order(self, f: BinaryForm) -> int:
+        """Order of f by walking its powers: ord(f) - 1 compositions."""
         n, g = 1, f
         while g != self.identity:
             g = self.mul(g, f)
             n += 1
+            if n > self.order:
+                raise AssertionError("element order exceeds the group order")
         return n
 
     def elementary_divisors(self) -> tuple[int, ...]:
-        """Invariant factors d1 | d2 | ... with product the group order."""
+        """Invariant factors d1 | d2 | ... with product the group order.
+
+        Counted from the element orders, at sum(ord(g) - 1) compositions.  For
+        each prime power l^e exactly dividing h, the elements of order
+        dividing l^k number l^(r_1 + ... + r_k), where r_k is the count of
+        cyclic l-primary factors of order at least l^k; the j-th largest
+        l-exponent is #{k : r_k >= j}.
+        """
         if self._divisors is None:
-            self._divisors = _abelian_divisors(self.elements, self.mul, self.identity)
+            orders = [self.element_order(f) for f in self.elements]
+            powers = []
+            for ell, e in factor(self.order).factors:
+                logs = [0]  # logs[k] = r_1 + ... + r_k
+                for k in range(1, e + 1):
+                    count = sum(1 for n in orders if ell ** k % n == 0)
+                    logs.append(valuation(count, ell))
+                    assert count == ell ** logs[-1], "l-torsion count is not a power of l"
+                assert logs[-1] == e, "l-torsion does not have the l-part of h"
+                ranks = [b - a for a, b in zip(logs, logs[1:])]
+                powers += [ell ** sum(1 for r in ranks if r >= j)
+                           for j in range(1, ranks[0] + 1)]
+            self._divisors = invariant_factors(powers)
         return self._divisors
 
     def to_json(self) -> dict:
@@ -571,69 +594,6 @@ class ClassGroup:
             "elementary_divisors": [str(d) for d in self.elementary_divisors()],
             "forms": [[str(f.a), str(f.b), str(f.c)] for f in self.elements],
         }
-
-
-def _abelian_divisors(elements, mul, identity) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian group given by a multiplication rule."""
-    if len(elements) == 1:
-        return ()
-    els = list(elements)
-    # order of each element
-    def order_of(f, mul_, id_):
-        n, g = 1, f
-        while g != id_:
-            g = mul_(g, f)
-            n += 1
-        return n
-
-    divisors = []
-    current_els = els
-    current_mul = mul
-    current_id = identity
-    while len(current_els) > 1:
-        best = max(current_els, key=lambda f: order_of(f, current_mul, current_id))
-        n = order_of(best, current_mul, current_id)
-        divisors.append(n)
-        # quotient by <best>
-        sub = set()
-        g = current_id
-        for _ in range(n):
-            sub.add(g)
-            g = current_mul(g, best)
-        cosets = {}
-        for f in current_els:
-            key = frozenset(current_mul(f, s) for s in sub)
-            cosets.setdefault(key, min(current_mul(f, s) for s in sub))
-        rep_of = {}
-        for key, rep in cosets.items():
-            for f in key:
-                rep_of[f] = rep
-        new_els = sorted(set(cosets.values()))
-        inner_mul = current_mul
-
-        def make_mul(inner, reps):
-            def q_mul(f, g):
-                return reps[inner(f, g)]
-            return q_mul
-
-        current_mul = make_mul(inner_mul, rep_of)
-        current_id = rep_of[current_id]
-        current_els = new_els
-    divisors.reverse()  # smallest dividing largest
-    out = []
-    for d in divisors:
-        out.append(d)
-    # enforce divisibility chain d1 | d2 | ... (merge prime powers if needed)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            if out[i + 1] % out[i]:
-                a, b = out[i], out[i + 1]
-                g = gcd(a, b)
-                out[i], out[i + 1] = g, a * b // g
-                changed = True
-    return tuple(d for d in out if d > 1)
 
 
 @lru_cache(maxsize=None)

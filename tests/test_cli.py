@@ -20,8 +20,10 @@ from locfree.cli import _build_parser, run
 from locfree.latorder import maximal_order
 from locfree.lfcg import CANCEL_RANGE_LIMIT
 from locfree.numtheory import PRIMALITY_BOUND
+from locfree.quadfield import class_group
 from locfree.quatalg import QuaternionAlgebra
 from test_latorder import _closed_superlattice_lines
+from test_quadfield import quotient_closure_divisors
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "output.schema.json"
 
@@ -226,6 +228,9 @@ def test_quadclass_json_property(D, narrow):
     assert product == order
     if D < 0:
         assert order == count_reduced_definite_forms(D)
+    if abs(D) <= 5000:
+        oracle = quotient_closure_divisors(class_group.__wrapped__(D, narrow))
+        assert [str(d) for d in oracle] == group["elementary_divisors"]
 
 
 SYMBOL_ENTRIES = st.builds(Fraction, st.integers(-40, 40).filter(bool),

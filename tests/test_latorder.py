@@ -345,7 +345,6 @@ def test_class_set_makes_no_fraction_quaternion_products(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Quaternion, "__mul__", counting)
-    monkeypatch.setattr(latorder, "_MAXIMAL_CACHE", {})
     assert len(class_set(maximal_order(b_p_infinity(101)))) == 9
     assert calls == []
 

@@ -1,6 +1,7 @@
 """Primality, factorization, quadratic symbols, and the conic cross-check."""
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -62,6 +63,27 @@ def test_factor_random_roundtrip():
             assert n % p**e == 0 and n % p ** (e + 1) != 0
             product *= p**e
         assert product == n
+
+
+def test_factor_stops_trial_division_at_a_large_prime_cofactor():
+    """A prime near 10**12 or above ends trial division at once instead of at
+    10**6: 100 factorizations in well under a second, about 2 s before."""
+    rng = random.Random(1309)
+    large = []
+    while len(large) < 50:
+        p = rng.randrange(10**12, 10**14) | 1
+        if is_prime(p):
+            large.append(p)
+    cases = [(p, {p: 1}) for p in large]
+    for p in large:
+        s = rng.choice((2, 3, 5, 7, 11, 13, 97, 999983))
+        k = rng.randrange(1, 4)
+        cases.append((s**k * p, {s: k, p: 1}))
+    start = time.process_time()
+    got = [factor(n).factors for n, _ in cases]
+    elapsed = time.process_time() - start
+    assert got == [tuple(sorted(want.items())) for _, want in cases]
+    assert elapsed < 0.5, elapsed
 
 
 def test_valuation_exactness():

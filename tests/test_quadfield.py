@@ -1,15 +1,18 @@
 """Quadratic fields, ideals, binary forms, class groups, Steinitz classes."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
 from locfree.linalg import Lattice
+from locfree.numtheory import invariant_factors
 from locfree.quadfield import (
     RATIONALS,
     BinaryForm,
+    ClassGroup,
     QuadField,
     QuadIdeal,
     QuadModule,
@@ -270,6 +273,153 @@ def test_class_groups_build_no_ideal_lattices(monkeypatch):
     assert built == []
     assert class_group.__wrapped__(12, True).elementary_divisors() == (2,)
     assert len(built) <= 1
+
+
+def _abelian_divisors(elements, mul, identity) -> tuple[int, ...]:
+    """Invariant factors of a finite abelian group given by a multiplication rule."""
+    if len(elements) == 1:
+        return ()
+    els = list(elements)
+    # order of each element
+    def order_of(f, mul_, id_):
+        n, g = 1, f
+        while g != id_:
+            g = mul_(g, f)
+            n += 1
+        return n
+
+    divisors = []
+    current_els = els
+    current_mul = mul
+    current_id = identity
+    while len(current_els) > 1:
+        best = max(current_els, key=lambda f: order_of(f, current_mul, current_id))
+        n = order_of(best, current_mul, current_id)
+        divisors.append(n)
+        # quotient by <best>
+        sub = set()
+        g = current_id
+        for _ in range(n):
+            sub.add(g)
+            g = current_mul(g, best)
+        cosets = {}
+        for f in current_els:
+            key = frozenset(current_mul(f, s) for s in sub)
+            cosets.setdefault(key, min(current_mul(f, s) for s in sub))
+        rep_of = {}
+        for key, rep in cosets.items():
+            for f in key:
+                rep_of[f] = rep
+        new_els = sorted(set(cosets.values()))
+        inner_mul = current_mul
+
+        def make_mul(inner, reps):
+            def q_mul(f, g):
+                return reps[inner(f, g)]
+            return q_mul
+
+        current_mul = make_mul(inner_mul, rep_of)
+        current_id = rep_of[current_id]
+        current_els = new_els
+    divisors.reverse()  # smallest dividing largest
+    out = []
+    for d in divisors:
+        out.append(d)
+    # enforce divisibility chain d1 | d2 | ... (merge prime powers if needed)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out) - 1):
+            if out[i + 1] % out[i]:
+                a, b = out[i], out[i + 1]
+                g = gcd(a, b)
+                out[i], out[i + 1] = g, a * b // g
+                changed = True
+    return tuple(d for d in out if d > 1)
+
+
+def quotient_closure_divisors(group):
+    """Invariant factors by the greedy max-order quotient oracle above."""
+    return _abelian_divisors(group.elements, group.mul, group.identity)
+
+
+def test_elementary_divisors_match_the_quotient_oracle():
+    rng = random.Random(1307)
+    cases = [(D, False) for D in (-4004, -5460, -15960, -19320)]  # 2-rank 3 and 4
+    cases += [(D, True) for D in (4620, 9240, 15960)]  # narrow 2-rank 4
+    while len(cases) < 48:
+        D = rng.randrange(-30000, 20001)
+        if is_fundamental_discriminant(D):
+            cases.append((D, rng.random() < 0.5 and D > 0))
+    for D, narrow in cases:
+        group = class_group.__wrapped__(D, narrow)
+        got = group.elementary_divisors()
+        assert got == quotient_closure_divisors(group), (D, narrow)
+        assert prod(got) == group.order
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
+
+def test_invariant_factors_match_the_quotient_oracle_on_cyclic_products():
+    """invariant_factors(q1, ..., qm) against the oracle run on Z/q1 x ... x Z/qm,
+    tuples under componentwise addition: prime powers as ClassGroup passes
+    them, and the invariant factors of several groups as RayClassGroup does."""
+    rng = random.Random(1308)
+    for trial in range(60):
+        orders = []
+        while True:
+            if trial % 2:
+                q = rng.randrange(1, 13)
+            else:
+                q = rng.choice((2, 3, 5, 7)) ** rng.randrange(1, 4)
+            if prod(orders) * q > 200:
+                break
+            orders.append(q)
+        elements = sorted(itertools.product(*(range(q) for q in orders)))
+
+        def add(x, y):
+            return tuple((a + b) % q for a, b, q in zip(x, y, orders))
+
+        zero = tuple(0 for _ in orders)
+        assert invariant_factors(orders) == _abelian_divisors(elements, add, zero), orders
+    assert invariant_factors([]) == invariant_factors([1]) == ()
+    assert invariant_factors([4, 2, 3, 9, 1, 5]) == (6, 180)
+    assert invariant_factors([6, 10, 4]) == (2, 2, 60)
+
+
+def test_elementary_divisors_walk_each_element_once(monkeypatch):
+    """The structure costs sum(ord(g) - 1) compositions: 78 * 78 for h = 79,
+    against 18,723 for the quotient closures; composition keeps no cache."""
+    calls = []
+    original = ClassGroup.mul
+
+    def counting(self, f, g):
+        calls.append(1)
+        return original(self, f, g)
+
+    monkeypatch.setattr(ClassGroup, "mul", counting)
+    group = class_group.__wrapped__(-50387)
+    assert group.order == 79
+    assert group.elementary_divisors() == (79,)
+    assert len(calls) == 6084
+    assert not hasattr(ClassGroup._proper_compose, "cache_info")
+
+
+def test_element_order_is_bounded_by_the_group_order(monkeypatch):
+    group = class_group.__wrapped__(-23)
+    f = next(f for f in group.elements if f != group.identity)
+    assert group.element_order(f) == 3
+    calls = []
+    original = ClassGroup.mul
+
+    def counting(self, f, g):
+        calls.append(1)
+        return original(self, f, g)
+
+    monkeypatch.setattr(ClassGroup, "mul", counting)
+    group.identity = BinaryForm(0, 1, 6)  # a broken identity that no power reaches
+    with pytest.raises(AssertionError):
+        group.element_order(f)
+    assert len(calls) == group.order  # the walk stops once n exceeds h
 
 
 def test_narrow_vs_wide_matches_pell_parity():
