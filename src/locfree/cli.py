@@ -68,6 +68,18 @@ def _require_prime(p: int) -> int:
     return p
 
 
+# The largest p that `order classset|classnumber p` accepts; the search grows
+# faster than h^2.  On a 2-CPU machine (Python 3.11) p = 2003 takes 8 s,
+# p = 2969 and 2999 21-24 s, p = 3203 32 s.  `order disc` has no limit.
+CLASS_SET_PRIME_LIMIT = 3000
+
+
+def _require_class_set_prime(p: int) -> int:
+    if p > CLASS_SET_PRIME_LIMIT:
+        raise ValueError(f"class sets are computed for p <= {CLASS_SET_PRIME_LIMIT} only")
+    return _require_prime(p)
+
+
 # ---------------------------------------------------------------------------
 # symbol
 
@@ -146,7 +158,7 @@ def _cmd_order_disc(ns) -> int:
 
 
 def _cmd_order_classset(ns) -> int:
-    order = maximal_order(b_p_infinity(_require_prime(ns.p)))
+    order = maximal_order(b_p_infinity(_require_class_set_prime(ns.p)))
     reps = class_set(order)
     payload = {
         "command": "order.classset",
@@ -159,7 +171,7 @@ def _cmd_order_classset(ns) -> int:
 
 
 def _cmd_order_classnumber(ns) -> int:
-    p = _require_prime(ns.p)
+    p = _require_class_set_prime(ns.p)
     formula = eichler_class_number(p)
     enumerated = len(class_set(maximal_order(b_p_infinity(p))))
     agree = formula == enumerated
@@ -345,11 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s = ordsub.add_parser("disc", parents=[common])
     s.add_argument("p", type=int)
     s.set_defaults(handler=_cmd_order_disc)
+    limited = f"a prime, at most {CLASS_SET_PRIME_LIMIT}; a larger p exits 1"
     s = ordsub.add_parser("classset", parents=[common])
-    s.add_argument("p", type=int)
+    s.add_argument("p", type=int, help=limited)
     s.set_defaults(handler=_cmd_order_classset)
     s = ordsub.add_parser("classnumber", parents=[common])
-    s.add_argument("p", type=int)
+    s.add_argument("p", type=int, help=limited)
     s.set_defaults(handler=_cmd_order_classnumber)
 
     s = top.add_parser("quadclass", parents=[common], help="quadratic form class groups")

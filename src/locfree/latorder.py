@@ -19,12 +19,13 @@ their left orders, isomorphism testing by short-vector search, and
 breadth-first enumeration of the ideal class set all live here.
 
 A norm form is a GramMatrix: an integer matrix over one denominator, filled
-straight from the integer rows of a lattice.  Short vectors come from one
+straight from the integer rows of a lattice; on a right ideal I it is the
+integral form f(x) = nrd(x)/nrd(I).  Short vectors come from one
 all-integer LLL reduction of that matrix (Cohen, GTM 138, Alg. 2.6.7), whose
 leading minors d and scaled Gram-Schmidt coefficients lam are integers; a
 Fincke-Pohst descent runs on those integers in the reduced basis and maps
 each vector back, so no Fraction arithmetic and no skewed basis slows the
-search.  Callers compare the integer numerators of norms.
+search.  Each vector comes with the integer numerator of its value.
 
 The class set search keys every ideal I by the first THETA_TERMS theta
 coefficients of nrd(x)/nrd(I) on I.  That key is a class invariant, because
@@ -120,6 +121,11 @@ def _combine(v, rows) -> list[int]:
     return [sum(c * r[t] for c, r in zip(v, rows)) for t in range(len(rows[0]))]
 
 
+def _divide(den: int, rows, r: Fraction):
+    """(den r_n, r_d rows) for r = r_n / r_d: the rows / den divided by r."""
+    return den * r.numerator, [[r.denominator * x for x in row] for row in rows]
+
+
 def _constrained_lattice(bound: Lattice, conditions) -> Lattice:
     """{x in bound : x M lies in target, for every (M, target) condition}."""
     rows = [list(r) for r in bound.basis()]
@@ -137,7 +143,7 @@ class GramMatrix:
     """Symmetric Gram matrix G = ints / den of a quadratic form.
 
     ints is an integer matrix and den > 0; numerator(v) = v ints v^T is the
-    integer that callers compare, value(v) = numerator(v) / den.
+    integer den v G v^T.
     """
 
     ints: tuple[tuple[int, ...], ...]
@@ -150,15 +156,15 @@ class GramMatrix:
                    for i in range(n) for j in range(i))
 
     @classmethod
-    def from_nrd(cls, alg: QuaternionAlgebra, rows, den: int = 1) -> "GramMatrix":
-        """Gram of the reduced norm form: v G v^T = nrd(sum v_i rows_i / den).
+    def from_nrd(cls, alg: QuaternionAlgebra, rows, den: int, scale) -> "GramMatrix":
+        """Gram of the scaled norm form: v G v^T = nrd(sum v_i rows_i / den) / scale.
 
         ad bd nrd(t + xi + yj + zk) = ad bd t^2 - an bd x^2 - bn ad y^2
-        + an bn z^2, so the Gram matrix is B diag(ad bd, -an bd, -bn ad,
-        an bn) B^T / (den^2 ad bd) for the integer rows B.
+        + an bn z^2, so for scale = n/m the Gram matrix is B diag(ad bd,
+        -an bd, -bn ad, an bn) B^T m / (den^2 ad bd n) for the integer rows B.
         """
         c, ca, cb, cab = _structure_constants(alg)
-        w = (c, -ca, -cb, cab)
+        w = [scale.denominator * x for x in (c, -ca, -cb, cab)]
         scaled = [[wk * x for wk, x in zip(w, r)] for r in rows]
         n = len(rows)
         ints = [[0] * n for _ in range(n)]
@@ -166,7 +172,7 @@ class GramMatrix:
             for t in range(s, n):
                 ints[s][t] = ints[t][s] = sum(
                     x * y for x, y in zip(scaled[s], rows[t]))
-        d = den * den * c
+        d = den * den * c * scale.numerator
         # lowest terms, so that the LLL and the descent see small integers
         g = gcd(d, *(x for r in ints for x in r))
         return cls(tuple(tuple(x // g for x in r) for r in ints), d // g)
@@ -176,10 +182,6 @@ class GramMatrix:
         return len(self.ints)
 
     @cached_property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.ints)
-
-    @cached_property
     def _reduction(self):
         return _lll(self.ints)
 
@@ -187,9 +189,6 @@ class GramMatrix:
         """v G v^T times den."""
         return sum(x * sum(a * y for a, y in zip(row, v))
                    for x, row in zip(v, self.ints))
-
-    def value(self, v) -> Fraction:
-        return Fraction(self.numerator(v), self.den)
 
 
 def _lll(a):
@@ -261,16 +260,17 @@ def _lll(a):
     return h, d, lam
 
 
-def short_vectors(g: GramMatrix, bound) -> list[tuple[int, ...]]:
-    """All nonzero integer v with v G v^T <= bound, sorted by v[::-1].
+def short_vectors(g: GramMatrix, bound) -> list[tuple[int, tuple[int, ...]]]:
+    """(numerator(v), v) for all nonzero integer v with v G v^T <= bound.
 
-    Exact Fincke-Pohst enumeration, run on integers in the coordinates x of
-    the LLL-reduced basis h of _lll: with T_l = d[l+1] x_l + sum_{j>l}
-    lam[j][l] x_j, den v G v^T = sum_l T_l^2 / (d[l] d[l+1]).  Over
-    W = lcm of the d[l] d[l+1], level l takes every x_l with
-    w_l T_l^2 <= R, w_l = W / (d[l] d[l+1]), where R starts at
-    floor(bound den W) and drops by w_l T_l^2 per level.  Each x maps back
-    to v = x h.  Rejects indefinite (or semidefinite) input.
+    Sorted by v[::-1].  Exact Fincke-Pohst enumeration, run on integers in
+    the coordinates x of the LLL-reduced basis h of _lll: with T_l =
+    d[l+1] x_l + sum_{j>l} lam[j][l] x_j, den v G v^T = sum_l T_l^2 /
+    (d[l] d[l+1]).  Over W = lcm of the d[l] d[l+1], level l takes every
+    x_l with w_l T_l^2 <= R, w_l = W / (d[l] d[l+1]), where R starts at
+    R_0 = floor(bound den W) and drops by w_l T_l^2 per level, so at level
+    0 the numerator is (R_0 - R + w_0 T_0^2) / W.  Each x maps back to
+    v = x h.  Rejects indefinite (or semidefinite) input.
     """
     h, d, lam = g._reduction
     n = g.n
@@ -278,6 +278,7 @@ def short_vectors(g: GramMatrix, bound) -> list[tuple[int, ...]]:
     weights = [top // (d[l] * d[l + 1]) for l in range(n)]
     tails = [[lam[j][l] for j in range(l + 1, n)] for l in range(n)]
     start = Fraction(bound) * g.den * top
+    start = start.numerator // start.denominator
     out = []
     coords = [0] * n
 
@@ -288,10 +289,12 @@ def short_vectors(g: GramMatrix, bound) -> list[tuple[int, ...]]:
         xs = range(-((s + c) // m), (s - c) // m + 1)
         row = h[level]
         if level == 0:
+            spent, w = start - remaining, weights[0]
             for x in xs:
                 v = tuple(p + x * r for p, r in zip(partial, row))
                 if any(v):
-                    out.append(v)
+                    t = m * x + c
+                    out.append(((spent + w * t * t) // top, v))
         else:
             for x in xs:
                 coords[level] = x
@@ -301,8 +304,8 @@ def short_vectors(g: GramMatrix, bound) -> list[tuple[int, ...]]:
         coords[level] = 0
 
     if start >= 0:
-        descend(n - 1, start.numerator // start.denominator, [0] * n)
-    out.sort(key=lambda v: v[::-1])
+        descend(n - 1, start, [0] * n)
+    out.sort(key=lambda e: e[1][::-1])
     return out
 
 
@@ -341,7 +344,7 @@ class QuatOrder:
         return self.lattice.contains(q.coords)
 
     def nrd_gram(self) -> GramMatrix:
-        return GramMatrix.from_nrd(self.algebra, self.lattice.rows, self.lattice.den)
+        return GramMatrix.from_nrd(self.algebra, self.lattice.rows, self.lattice.den, 1)
 
     def unit_group_order(self) -> int:
         """Number of units; finite (hence meaningful) only for definite algebras."""
@@ -404,9 +407,6 @@ class RightIdeal:
             raise ValueError("principal ideal requires a nonzero generator")
         return cls.from_generators(order, [x])
 
-    def basis_quaternions(self) -> list[Quaternion]:
-        return [self.order.algebra.quaternion(*r) for r in self.lattice.basis()]
-
     def left_order(self) -> QuatOrder:
         """O_L(I) = (1/nrd I) I conj(I); valid since the right order is maximal."""
         if self._left_order is None:
@@ -415,15 +415,15 @@ class RightIdeal:
             lat = self.lattice
             den, rows = _mul_rows(alg, lat.den, lat.rows,
                                   lat.den, _conj_rows(lat.rows))
-            n, m = self.nrd.numerator, self.nrd.denominator
-            prod = Lattice.from_ints(den * n, [[m * x for x in r] for r in rows])
-            self._left_order = QuatOrder(alg, prod)
+            self._left_order = QuatOrder(
+                alg, Lattice.from_ints(*_divide(den, rows, self.nrd)))
             assert self._left_order.reduced_disc == self.order.reduced_disc
         return self._left_order
 
     def nrd_gram(self) -> GramMatrix:
+        """Gram of f(x) = nrd(x)/nrd(I), an integral form on I."""
         return GramMatrix.from_nrd(self.order.algebra, self.lattice.rows,
-                                   self.lattice.den)
+                                   self.lattice.den, self.nrd)
 
     def is_integral(self) -> bool:
         return self.order.lattice.contains_lattice(self.lattice)
@@ -655,8 +655,8 @@ class IsoResult:
 def isomorphic_ideals(i: RightIdeal, j: RightIdeal) -> IsoResult:
     """Decide J = xI for some invertible x; definite maximal orders only.
 
-    Searches y in J conj(I) with nrd(y) = nrd(I) nrd(J); then x = y/nrd(I),
-    and x I = J is re-checked by lattice equality.
+    Searches y in J conj(I) with nrd(y) / (nrd(I) nrd(J)) = 1; then
+    x = y/nrd(I), and x I = J is re-checked by lattice equality.
     """
     if i.order != j.order:
         raise ValueError("ideals must share an order")
@@ -665,19 +665,15 @@ def isomorphic_ideals(i: RightIdeal, j: RightIdeal) -> IsoResult:
     if not i.order.is_maximal:
         raise ValueError("order must be maximal")
     alg = i.order.algebra
-    target = i.nrd * j.nrd
     il, jl = i.lattice, j.lattice
     c = Lattice.from_ints(*_mul_rows(alg, jl.den, jl.rows,
                                      il.den, _conj_rows(il.rows)))
-    gram = GramMatrix.from_nrd(alg, c.rows, c.den)
-    goal = target * gram.den
-    n, m = i.nrd.numerator, i.nrd.denominator
-    for v in short_vectors(gram, target):
-        if gram.numerator(v) != goal:
+    gram = GramMatrix.from_nrd(alg, c.rows, c.den, i.nrd * j.nrd)
+    for num, v in short_vectors(gram, 1):
+        if num != gram.den:
             continue
         # x = y / nrd(I) with y = sum v_s c_s, as an integer row over dx
-        x = [m * t for t in _combine(v, c.rows)]
-        dx = c.den * n
+        dx, (x,) = _divide(c.den, [_combine(v, c.rows)], i.nrd)
         moved = Lattice.from_ints(*_mul_rows(alg, dx, [x], il.den, il.rows))
         if moved == jl:
             return IsoResult(True, alg.quaternion(*(Fraction(t, dx) for t in x)))
@@ -687,19 +683,15 @@ def isomorphic_ideals(i: RightIdeal, j: RightIdeal) -> IsoResult:
 def reduce_ideal(i: RightIdeal) -> RightIdeal:
     """Isomorphic ideal of small norm: apply conj(y)/nrd(I) for a shortest y.
 
-    The first LLL basis vector is in I, so its norm d[1] / den bounds the
+    The first LLL basis vector is in I, so its value d[1] / den bounds the
     minimum and one enumeration finds every shortest y.
     """
     gram = i.nrd_gram()
     first = gram._reduction[1][1]
-    vectors = short_vectors(gram, Fraction(first, gram.den))
-    best = min(vectors, key=lambda v: (gram.numerator(v), v))
+    _, best = min(short_vectors(gram, Fraction(first, gram.den)))
     lat = i.lattice
     # x = conj(y) / nrd(I) with y = sum best_s b_s, as an integer row over dx
-    n, m = i.nrd.numerator, i.nrd.denominator
-    y = _combine(best, lat.rows)
-    x = [m * y[0]] + [-m * t for t in y[1:]]
-    dx = lat.den * n
+    dx, (x,) = _divide(lat.den, _conj_rows([_combine(best, lat.rows)]), i.nrd)
     return RightIdeal(i.order, Lattice.from_ints(
         *_mul_rows(i.order.algebra, dx, [x], lat.den, lat.rows)))
 
@@ -715,12 +707,9 @@ def _theta_key(i: RightIdeal) -> tuple[int, ...]:
     nrd(x) and nrd(I) by nrd(y).
     """
     gram = i.nrd_gram()
-    # nrd(x)/nrd(I) = numerator(v) m / (den n) for nrd(I) = n/m
-    n, m = i.nrd.numerator, i.nrd.denominator
-    unit = gram.den * n
     counts = [0] * THETA_TERMS
-    for v in short_vectors(gram, THETA_TERMS * i.nrd):
-        counts[gram.numerator(v) * m // unit - 1] += 1
+    for num, _ in short_vectors(gram, THETA_TERMS):
+        counts[num // gram.den - 1] += 1
     return tuple(counts)
 
 

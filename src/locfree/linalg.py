@@ -209,13 +209,15 @@ class Lattice:
         Integer vec stays on integers; rational entries work as well.
         """
         v = [self.den * x for x in vec]
+        n = len(self.rows)
         for i, row in enumerate(self.rows):
             c, r = divmod(v[i], den * row[i])
             if r:
                 return False
             if c:
-                for j in range(i + 1, self.n):
-                    v[j] -= c * den * row[j]
+                c *= den
+                for j in range(i + 1, n):
+                    v[j] -= c * row[j]
         return True
 
     def contains_lattice(self, other: "Lattice") -> bool:

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from locfree.cli import _build_parser, run
-from locfree.latorder import maximal_order
+from locfree import cli
+from locfree.cli import CLASS_SET_PRIME_LIMIT, _build_parser, run
+from locfree.latorder import class_set, maximal_order
 from locfree.lfcg import CANCEL_RANGE_LIMIT
 from locfree.numtheory import PRIMALITY_BOUND
 from locfree.quadfield import class_group
@@ -257,6 +259,81 @@ def test_swan_spec_saturation_property(a, b):
     for q in (2, 3, 5, 7):
         if o.reduced_disc % q == 0:
             assert not _closed_superlattice_lines(o, q)
+
+
+# the class sets the property below may start: p <= SMALL_CLASS_SET costs
+# well under a second, while a p just under the limit costs tens of seconds
+SMALL_CLASS_SET = 120
+
+
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+ARG_TEXT = st.one_of(
+    st.integers(-60, 60).map(str),
+    st.integers(-10**20, 10**20).map(str),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-50, 50), st.integers(-3, 9)),
+    st.text(alphabet="0123456789-/x ", max_size=6),
+)
+ORDER_P = st.one_of(
+    st.integers(-5, SMALL_CLASS_SET),
+    st.integers(CLASS_SET_PRIME_LIMIT + 1, CLASS_SET_PRIME_LIMIT + 300),
+    st.integers(CLASS_SET_PRIME_LIMIT + 1, 10**20),
+).map(str) | ARG_TEXT.filter(
+    lambda t: not SMALL_CLASS_SET < (_int_or_none(t) or 0) <= CLASS_SET_PRIME_LIMIT)
+
+
+@st.composite
+def order_and_symbol_argv(draw):
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    which = draw(st.sampled_from(["disc", "classset", "classnumber",
+                                  "legendre", "kronecker", "hilbert"]))
+    if which in ("disc", "classset", "classnumber"):
+        return ["order", which] + json_flag + ["--", draw(ORDER_P)]
+    args = [draw(ARG_TEXT), draw(ARG_TEXT)]
+    if which == "hilbert":
+        place = draw(st.one_of(st.just("inf"), ARG_TEXT))
+        json_flag.append(f"--place={place}")
+    return ["symbol", which] + json_flag + ["--"] + args
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=order_and_symbol_argv())
+def test_order_and_symbol_argument_property(argv):
+    """Exit 0, 1 or 2 and never a traceback; a p above the limit exits 1
+    without starting a class set."""
+    def small_class_set(order, *rest):
+        assert order.reduced_disc <= SMALL_CLASS_SET, argv
+        return class_set(order, *rest)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "class_set", small_class_set), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    p = _int_or_none(argv[-1])
+    if argv[1] in ("classset", "classnumber") and p and p > CLASS_SET_PRIME_LIMIT:
+        assert code == 1 and str(CLASS_SET_PRIME_LIMIT) in err.getvalue()
+    if code or "--json" in argv:
+        return
+    lines = out.getvalue().splitlines()
+    if argv[1] == "disc":
+        assert lines == [str(p)]
+    elif argv[1] == "classnumber":
+        assert lines[0][len("formula: "):] == lines[1][len("enumeration: "):]
+        assert lines[2] == "agree: true"
+    elif argv[1] == "legendre":
+        a, q = int(argv[-2]), int(argv[-1])
+        assert int(lines[0]) % q == pow(a, (q - 1) // 2, q)
+    elif argv[0] == "symbol":
+        assert lines[0] in ("-1", "0", "1")
 
 
 def test_no_ansi_escapes(capsys):

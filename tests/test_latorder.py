@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -104,14 +104,25 @@ def hnf_sublattices(index):
             yield h
 
 
+def basis_quaternions(i):
+    return [i.order.algebra.quaternion(*r) for r in i.lattice.basis()]
+
+
 def rational_gram(entries):
     """The GramMatrix with these rational entries, over their common denominator."""
     den = lcm(*(Fraction(x).denominator for r in entries for x in r))
     return GramMatrix(tuple(tuple(int(x * den) for x in r) for r in entries), den)
 
 
+def _box_norm(g, v):
+    """v G v^T, evaluated entry by entry."""
+    n = len(v)
+    return sum(g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+
+
 def test_short_vectors_against_box_enumeration():
     rng = random.Random(51)
+    cases = []
     for _ in range(30):
         n = rng.choice([2, 3, 4])
         m = rng.choice([1, 2, 3])
@@ -120,15 +131,26 @@ def test_short_vectors_against_box_enumeration():
         g = [[Fraction(sum(a[k][i] * a[k][j] for k in range(n))
                        + (m if i == j else 0)) for j in range(n)]
              for i in range(n)]
+        cases.append((g, m, rng.randrange(1, 20)))
+    # forms with halves, so the numerators are twice the values: the norm
+    # form of the Hurwitz order (least eigenvalue 1 - sqrt(3)/2 > 1/8) and
+    # the D_4 root lattice scaled by 3/2 (least eigenvalue 3 - 3 sqrt(3)/2 > 1/4)
+    hurwitz = [[1, 0, 0, Fraction(1, 2)], [0, 1, 0, Fraction(1, 2)],
+               [0, 0, 1, Fraction(1, 2)], [Fraction(1, 2)] * 3 + [1]]
+    d4 = [[3, Fraction(-3, 2), 0, 0], [Fraction(-3, 2), 3, Fraction(-3, 2), Fraction(-3, 2)],
+          [0, Fraction(-3, 2), 3, 0], [0, Fraction(-3, 2), 0, 3]]
+    cases += [(hurwitz, Fraction(1, 8), b) for b in (1, 2, 3)]
+    cases += [(d4, Fraction(1, 4), b) for b in (3, Fraction(9, 2), 7)]
+    for g, m, bound in cases:
+        n = len(g)
         gram = rational_gram(g)
-        bound = rng.randrange(1, 20)
-        got = sorted(short_vectors(gram, bound))
-        r = isqrt(bound // m)
+        got = short_vectors(gram, bound)
+        r = isqrt(int(bound / m))
         expected = sorted(
             v for v in itertools.product(range(-r, r + 1), repeat=n)
-            if any(v) and sum(g[i][j] * v[i] * v[j]
-                              for i in range(n) for j in range(n)) <= bound)
-        assert got == expected
+            if any(v) and _box_norm(g, v) <= bound)
+        assert sorted(v for _, v in got) == expected
+        assert all(Fraction(num, gram.den) == _box_norm(g, v) for num, v in got)
 
 
 def _fraction_short_vectors(g, bound):
@@ -187,16 +209,15 @@ def test_short_vectors_rational_grams_against_box_and_fraction_descent():
         bound = (Fraction(0) if trial % 10 == 0
                  else Fraction(rng.randrange(1, 25), rng.randrange(1, 7)))
         got = short_vectors(gram, bound)
-        assert got == _fraction_short_vectors(g, bound)
+        assert [v for _, v in got] == _fraction_short_vectors(g, bound)
         scale = lcm(*(x.denominator for row in g for x in row))
         gi = [[int(x * scale) for x in row] for row in g]
         r = isqrt(int(bound * den / m))
         expected = sorted(
             v for v in itertools.product(range(-r, r + 1), repeat=n)
-            if any(v) and sum(gi[i][j] * v[i] * v[j] for i in range(n)
-                              for j in range(n)) <= bound * scale)
-        assert sorted(got) == expected
-        assert all(gram.value(v) <= bound for v in got)
+            if any(v) and _box_norm(gi, v) <= bound * scale)
+        assert sorted(v for _, v in got) == expected
+        assert all(num * scale == _box_norm(gi, v) * gram.den for num, v in got)
 
 
 def _int_det(m):
@@ -283,14 +304,14 @@ def test_lll_and_short_vectors_on_skewed_grams(case):
     _assert_lll_reduced(skewed, latorder._lll(skewed))
     gram = rational_gram(skewed)
     got = short_vectors(gram, bound)
-    assert got == _fraction_short_vectors(
+    assert [v for _, v in got] == _fraction_short_vectors(
         [[Fraction(x) for x in r] for r in skewed], bound)
     # w G w^T <= bound with w = v U, so v = w U^-1; G >= m I bounds the box
     r = isqrt(bound)
-    box = [w for w in itertools.product(range(-r, r + 1), repeat=n)
-           if any(w) and sum(g[i][j] * w[i] * w[j]
-                             for i in range(n) for j in range(n)) <= bound]
-    assert sorted(got) == sorted(vec_times(w, uinv) for w in box)
+    box = {vec_times(w, uinv): _box_norm(g, w)
+           for w in itertools.product(range(-r, r + 1), repeat=n)
+           if any(w) and _box_norm(g, w) <= bound}
+    assert {v: Fraction(num, gram.den) for num, v in got} == box
 
 
 def test_short_vectors_rejects_indefinite():
@@ -308,14 +329,16 @@ KERNEL_ALGEBRAS = [QuaternionAlgebra(Fraction(a), Fraction(b)) for a, b in (
 def test_nrd_gram_matches_structure_constants():
     rng = random.Random(52)
     for alg in KERNEL_ALGEBRAS:
-        for den in (1, 2, 3, 6):
+        for den, scale in ((1, 1), (2, 3), (3, Fraction(1, 2)), (6, Fraction(10, 9))):
             rows = [tuple(rng.randrange(-3, 4) for _ in range(4)) for _ in range(4)]
-            gram = GramMatrix.from_nrd(alg, rows, den)
+            gram = GramMatrix.from_nrd(alg, rows, den, scale)
+            assert gcd(gram.den, *(x for r in gram.ints for x in r)) == 1
             for _ in range(30):
                 c = [rng.randrange(-4, 5) for _ in range(4)]
                 combo = tuple(Fraction(sum(c[i] * rows[i][j] for i in range(4)), den)
                               for j in range(4))
-                assert gram.value(c) == quat_nrd(alg.a, alg.b, combo)
+                assert (Fraction(gram.numerator(c), gram.den)
+                        == quat_nrd(alg.a, alg.b, combo) / scale)
 
 
 def test_integer_products_match_quaternion_mul():
@@ -336,17 +359,38 @@ def test_integer_products_match_quaternion_mul():
 
 
 def test_class_set_makes_no_fraction_quaternion_products(monkeypatch):
-    """Orders, ideals and the neighbor search multiply on integer rows."""
-    calls = []
+    """Orders, ideals and the neighbor search multiply on integer rows, and
+    the search's work at p = 101 is pinned.
+
+    Every norm the search compares comes with its vector from short_vectors,
+    so the only numerator calls left are the zero-divisor scans: 8 scans of
+    the 15 projective points of O/2O.
+    """
+    calls, vectors, numerators = [], [], []
     original = Quaternion.__mul__
+    enumerate_ = latorder.short_vectors
+    numerator = GramMatrix.numerator
 
     def counting(self, other):
         calls.append(1)
         return original(self, other)
 
+    def counting_vectors(gram, bound):
+        out = enumerate_(gram, bound)
+        vectors.append(len(out))
+        return out
+
+    def counting_numerator(self, v):
+        numerators.append(1)
+        return numerator(self, v)
+
     monkeypatch.setattr(Quaternion, "__mul__", counting)
+    monkeypatch.setattr(latorder, "short_vectors", counting_vectors)
+    monkeypatch.setattr(GramMatrix, "numerator", counting_numerator)
     assert len(class_set(maximal_order(b_p_infinity(101)))) == 9
     assert calls == []
+    assert (len(vectors), sum(vectors)) == (71, 1358)
+    assert len(numerators) == 8 * 15
 
 
 def test_hurwitz_order():
@@ -420,7 +464,7 @@ def _all_tuples_norm_q_lattices(o, q):
     target_covol = base.covolume() * q * q
     seen = set()
     for c in itertools.product(range(q), repeat=4):
-        if not any(c) or gram.value(c) % q:
+        if not any(c) or Fraction(gram.numerator(c), gram.den) % q:
             continue
         den, rows = latorder._mul_rows(o.algebra, base.den,
                                        [latorder._combine(c, base.rows)],
@@ -695,6 +739,11 @@ def test_theta_key_is_a_class_invariant(class_sets_under_100):
         for i in reps[:4] + right_ideals_of_norm(o, 3)[:1]:
             key = _theta_key(i)
             assert sum(key) > 0
+            # the counts, from each vector's own quaternion norm
+            basis = i.lattice.basis()
+            values = [quat_nrd(o.algebra.a, o.algebra.b, vec_times(v, basis)) / i.nrd
+                      for _, v in short_vectors(i.nrd_gram(), latorder.THETA_TERMS)]
+            assert key == tuple(values.count(n) for n in range(1, len(key) + 1))
             for _ in range(2):
                 c = [rng.randrange(-20, 21) for _ in range(4)]
                 d = rng.randrange(1, 7)
@@ -703,7 +752,7 @@ def test_theta_key_is_a_class_invariant(class_sets_under_100):
                 if x.is_zero():
                     continue
                 moved = RightIdeal(o, Lattice([(x * b).coords
-                                               for b in i.basis_quaternions()]))
+                                               for b in basis_quaternions(i)]))
                 assert moved.nrd == i.nrd * x.nrd()
                 gram = moved.nrd_gram()
                 _assert_lll_reduced(gram.ints, latorder._lll(gram.ints))
@@ -742,7 +791,7 @@ def test_isomorphism_witness_and_reduce():
     assert r.nrd <= i.nrd
     m = isomorphic_ideals(i, r)
     assert m and m.witness is not None
-    moved = Lattice([(m.witness * q).coords for q in i.basis_quaternions()])
+    moved = Lattice([(m.witness * q).coords for q in basis_quaternions(i)])
     assert moved == r.lattice
     # class number one: everything is isomorphic to the unit ideal
     for j in right_ideals_of_norm(o, 5):
